@@ -5,7 +5,8 @@ digits, newlines are always ``\\n``, grid rows are written in grid order no
 matter how the work was spread over threads, and the ``verify`` report is a
 pure function of its seed.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error (an input
+outside the range the arithmetic handles counts as one).
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class UsageError(Exception):
@@ -600,6 +601,11 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](cfg)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except ArithmeticError as exc:
+        # Float overflow or division by zero on an extreme input: the input
+        # is outside the range the computation handles, not a failed check.
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

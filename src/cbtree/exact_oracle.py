@@ -13,12 +13,27 @@ with the boundary field h living on the outermost level only.  All
 probability work happens in log space; log weights are combined by a block
 log-sum-exp with fixed block boundaries, so results are independent of the
 worker-thread count.
+
+Two routes share that enumeration.  For a constant boundary field h the log
+weight is beta*J*A + beta*J1*B + h*C_boundary, whose integer statistics do
+not depend on (beta, h).  ``count_table`` therefore counts the
+configurations in each (A, B, C_boundary) bin once per tree, in one
+block-wise pass, and keeps the exact integer counts for the life of the
+process (one table per enumerable tree, built on first use under a lock so
+that concurrent first callers build it once).  ``log_partition`` and
+``plus_minus_mass`` with a constant field are then a log-sum-exp over the
+bins (1340 at full depth 3) instead of over 2**22 configurations.  Any other
+field, and ``measure_prob``, ``marginal_prob`` and ``check_consistency``,
+take the per-configuration ``log_weights`` route, which stays the
+independent reference.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,7 +41,7 @@ from . import model
 from .field_recursion import FieldAssignment
 from .model import ModelParams, SpinConfig
 from .parallel import parallel_map
-from .topology import TreeIndex, build_tree
+from .topology import TreeIndex, build_tree, edge_pairs, sibling_pairs
 
 FULL_ENUM_DEPTH_CAP = 3
 HALF_ENUM_DEPTH_CAP = 4
@@ -62,6 +77,12 @@ class BoundaryField:
     @property
     def as_array(self) -> np.ndarray:
         return np.asarray(self.values, dtype=np.float64)
+
+    @property
+    def constant_value(self) -> float | None:
+        """The common value if the field is constant, else None."""
+        first = self.values[0]
+        return first if all(v == first for v in self.values) else None
 
 
 def _coerce_boundary(tree: TreeIndex, h) -> BoundaryField:
@@ -110,10 +131,88 @@ def _blocks(total: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + _BLOCK, total)) for lo in range(0, total, _BLOCK)]
 
 
-def log_partition(tree: TreeIndex, params: ModelParams, h) -> float:
-    """ln Z over all 2**n configurations, by streamed block log-sum-exp."""
+# Bins are ordered by (unequal sibling pairs, unequal edges, boundary plus
+# spins).  Only the two uniform configurations have no unequal pair or edge,
+# so they take the first two bins, one configuration each.
+MINUS_BIN = 0
+PLUS_BIN = 1
+
+
+@dataclass(frozen=True, eq=False)
+class CountTable:
+    """Exact number of configurations in each non-empty (A, B, C_boundary) bin.
+
+    ``a``, ``b``, ``c`` and ``count`` are read-only int64 arrays, one entry
+    per bin; ``c`` is the net spin of the boundary level.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    count: np.ndarray
+
+    def log_weights(self, params: ModelParams, h: float) -> np.ndarray:
+        """Log weight of one configuration of each bin under the constant field h."""
+        return params.beta * params.J * self.a + params.beta * params.J1 * self.b + h * self.c
+
+    def log_partition(self, params: ModelParams, h: float) -> float:
+        """ln Z as a log-sum-exp over bins.
+
+        A bin of count 1 adds ln 1 = 0 exactly, so its term is bit-equal to
+        its ``log_weights`` entry and exp(w - ln Z) <= 1 holds by
+        construction.
+        """
+        return _lse(self.log_weights(params, h) + np.log(self.count))
+
+
+def _count_block(tree: TreeIndex, shape: tuple[int, int, int], rng) -> np.ndarray:
+    lo, hi = rng
+    bits = model.spin_bits(tree, np.arange(lo, hi, dtype=np.int64))
+    key, b_neq = model.unequal_counts(tree, bits)
+    key *= shape[1]
+    key += b_neq
+    key *= shape[2]
+    for x in tree.boundary:
+        key += bits[x]
+    return np.bincount(key, minlength=shape[0] * shape[1] * shape[2])
+
+
+@lru_cache(maxsize=None)
+def _build_count_table(tree: TreeIndex) -> CountTable:
+    nb = tree.level_size(tree.depth)
+    shape = (len(sibling_pairs(tree)) + 1, len(edge_pairs(tree)) + 1, nb + 1)
+    partials = parallel_map(lambda rng: _count_block(tree, shape, rng),
+                            _blocks(1 << tree.n_vertices))
+    counts = np.sum(partials, axis=0)
+    nonzero = np.flatnonzero(counts)
+    a_neq, b_neq, ones = np.unravel_index(nonzero, shape)
+    arrays = (
+        shape[0] - 1 - 2 * a_neq.astype(np.int64),
+        shape[1] - 1 - 2 * b_neq.astype(np.int64),
+        2 * ones.astype(np.int64) - nb,
+        counts[nonzero].astype(np.int64),
+    )
+    for arr in arrays:
+        arr.flags.writeable = False
+    return CountTable(*arrays)
+
+
+_TABLE_LOCK = threading.Lock()
+
+
+def count_table(tree: TreeIndex) -> CountTable:
+    """The (A, B, C_boundary) count table of ``tree``.
+
+    Built by one block-wise enumeration pass on first use and cached per
+    tree; the lock makes concurrent first callers build it only once.
+    """
     _check_enum_cap(tree)
-    bf = _coerce_boundary(tree, h)
+    with _TABLE_LOCK:
+        return _build_count_table(tree)
+
+
+def _log_partition_enumerated(tree: TreeIndex, params: ModelParams, bf: BoundaryField) -> float:
+    _check_enum_cap(tree)
     total = 1 << tree.n_vertices
 
     def one_block(rng):
@@ -124,12 +223,41 @@ def log_partition(tree: TreeIndex, params: ModelParams, h) -> float:
     return _lse(partials)
 
 
+def log_partition(tree: TreeIndex, params: ModelParams, h) -> float:
+    """ln Z over all 2**n configurations.
+
+    A constant boundary field is served from ``count_table``; any other by
+    a streamed block log-sum-exp over the configurations.
+    """
+    bf = _coerce_boundary(tree, h)
+    hc = bf.constant_value
+    if hc is not None:
+        return count_table(tree).log_partition(params, hc)
+    return _log_partition_enumerated(tree, params, bf)
+
+
+def first_config(tree: TreeIndex, predicate) -> int | None:
+    """Smallest configuration id whose (A, B, C) arrays satisfy ``predicate``.
+
+    Blocks are scanned in id order; the scan stops at the first block with
+    a match.
+    """
+    _check_enum_cap(tree)
+    for lo, hi in _blocks(1 << tree.n_vertices):
+        stats = model.sufficient_stats_batch(tree, np.arange(lo, hi, dtype=np.int64))
+        hits = np.flatnonzero(predicate(*stats))
+        if hits.size:
+            return lo + int(hits[0])
+    return None
+
+
 def measure_prob(tree: TreeIndex, params: ModelParams, h, config: SpinConfig) -> float:
     """Probability of one configuration under the finite-volume measure."""
     if config.tree != tree:
         raise ValueError("configuration belongs to a different tree")
-    w = log_weights(tree, params, h, np.array([config.bits], dtype=np.int64))
-    return float(np.exp(w[0] - log_partition(tree, params, h)))
+    bf = _coerce_boundary(tree, h)
+    w = log_weights(tree, params, bf, np.array([config.bits], dtype=np.int64))
+    return float(np.exp(w[0] - _log_partition_enumerated(tree, params, bf)))
 
 
 def marginal_prob(tree: TreeIndex, params: ModelParams, h, partial: SpinConfig) -> float:
@@ -145,8 +273,9 @@ def marginal_prob(tree: TreeIndex, params: ModelParams, h, partial: SpinConfig) 
     n_low = partial.tree.n_vertices
     nb = tree.level_size(tree.depth)
     completions = (np.arange(1 << nb, dtype=np.int64) << n_low) | partial.bits
-    w = log_weights(tree, params, h, completions)
-    return float(np.exp(_lse(w) - log_partition(tree, params, h)))
+    bf = _coerce_boundary(tree, h)
+    w = log_weights(tree, params, bf, completions)
+    return float(np.exp(_lse(w) - _log_partition_enumerated(tree, params, bf)))
 
 
 def check_consistency(params: ModelParams, fields: FieldAssignment) -> float:
@@ -191,7 +320,13 @@ def plus_minus_mass(tree: TreeIndex, params: ModelParams, h) -> tuple[float, flo
     """Probabilities of the all-plus and all-minus configurations."""
     _check_enum_cap(tree)
     bf = _coerce_boundary(tree, h)
-    ln_z = log_partition(tree, params, bf)
+    hc = bf.constant_value
+    if hc is not None:
+        table = count_table(tree)
+        w = table.log_weights(params, hc)
+        ln_z = table.log_partition(params, hc)
+        return float(np.exp(w[PLUS_BIN] - ln_z)), float(np.exp(w[MINUS_BIN] - ln_z))
+    ln_z = _log_partition_enumerated(tree, params, bf)
     extremes = np.array([(1 << tree.n_vertices) - 1, 0], dtype=np.int64)
     w = log_weights(tree, params, bf, extremes)
     return float(np.exp(w[0] - ln_z)), float(np.exp(w[1] - ln_z))

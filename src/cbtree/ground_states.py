@@ -14,20 +14,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import exact_oracle
 from .field_recursion import REGIME_THREE, ti_fixed_points
-from .model import ModelParams, stat_maxima, sufficient_stats_batch
+from .model import ModelParams, stat_maxima
 from .parallel import parallel_map
 from .topology import boundary_sets, build_tree, connected_subsets
 
 # Non-decreasing mass along the in-regime beta tail, up to this slack.
 MONOTONE_SLACK = 1e-9
 
-_CONFIG_DEPTH_CAP = 3
 _SUBSET_DEPTH_CAP = 3
-_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -115,31 +111,25 @@ def exhaustive_lemma_check(depth: int = 2) -> LemmaCheckResult:
     """Sweep both combinatorial bounds on the full tree.
 
     Configuration form: B(s) - A(s) <= B - A over every configuration
-    (2**22 of them at depth 3).  Subset form: the sibling boundary of a
+    (2**22 of them at depth 3), counted over the bins of
+    ``exact_oracle.count_table``; the witness is the smallest violating
+    configuration id.  Subset form: the sibling boundary of a
     connected vertex set never outnumbers its edge boundary.  Returns zero
     violation counts when clean, otherwise the first witness of each kind.
     """
-    if depth > _CONFIG_DEPTH_CAP:
-        raise ValueError(f"configuration sweep capped at depth {_CONFIG_DEPTH_CAP}")
+    cap = exact_oracle.FULL_ENUM_DEPTH_CAP
+    if depth > cap:
+        raise ValueError(f"configuration sweep capped at depth {cap}")
     tree = build_tree(depth, "full")
     a_max, b_max, _ = stat_maxima(tree)
     bound = b_max - a_max
-    total = 1 << tree.n_vertices
-
-    def scan_block(rng):
-        lo, hi = rng
-        cfg = np.arange(lo, hi, dtype=np.int64)
-        a, b, _ = sufficient_stats_batch(tree, cfg)
-        gap = b - a
-        bad = np.nonzero(gap > bound)[0]
-        witness = int(cfg[bad[0]]) if bad.size else None
-        return int(np.max(gap)), int(bad.size), witness
-
-    blocks = [(lo, min(lo + _BLOCK, total)) for lo in range(0, total, _BLOCK)]
-    results = parallel_map(scan_block, blocks)
-    max_gap = max(r[0] for r in results)
-    config_violations = sum(r[1] for r in results)
-    config_witness = next((r[2] for r in results if r[2] is not None), None)
+    table = exact_oracle.count_table(tree)
+    gap = table.b - table.a
+    max_gap = int(gap.max())
+    config_violations = int(table.count[gap > bound].sum())
+    config_witness = None
+    if config_violations:
+        config_witness = exact_oracle.first_config(tree, lambda a, b, c: b - a > bound)
 
     subset_count = 0
     subset_violations = 0
@@ -155,7 +145,7 @@ def exhaustive_lemma_check(depth: int = 2) -> LemmaCheckResult:
 
     return LemmaCheckResult(
         depth=depth,
-        config_count=total,
+        config_count=1 << tree.n_vertices,
         config_violations=config_violations,
         config_witness=config_witness,
         max_stat_gap=max_gap,

@@ -121,29 +121,40 @@ def sufficient_stats(tree: TreeIndex, config: SpinConfig) -> tuple[int, int, int
     return a, b, c
 
 
+def spin_bits(tree: TreeIndex, configs) -> list[np.ndarray]:
+    """One int8 array per vertex over bit-packed configurations: 1 for spin +1."""
+    cfg = np.asarray(configs, dtype=np.int64)
+    return [((cfg >> v) & 1).astype(np.int8) for v in range(tree.n_vertices)]
+
+
+def unequal_counts(tree: TreeIndex, bits) -> tuple[np.ndarray, np.ndarray]:
+    """Per-configuration int32 counts of unequal sibling pairs and unequal edges.
+
+    A = len(sibling_pairs) - 2 * (first count), B = len(edge_pairs) - 2 * (second).
+    """
+    a_neq = np.zeros(bits[0].shape, dtype=np.int32)
+    for y, z in sibling_pairs(tree):
+        a_neq += bits[y] ^ bits[z]
+    b_neq = np.zeros(bits[0].shape, dtype=np.int32)
+    for x, y in edge_pairs(tree):
+        b_neq += bits[x] ^ bits[y]
+    return a_neq, b_neq
+
+
 def sufficient_stats_batch(tree: TreeIndex, configs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized (A, B, C) over an int64 array of bit-packed configurations.
 
     Counts unequal-spin pairs with int8 bit arithmetic, then converts; the
     result is identical to per-config ``sufficient_stats``.
     """
-    cfg = np.asarray(configs, dtype=np.int64)
-    bits = [((cfg >> v) & 1).astype(np.int8) for v in range(tree.n_vertices)]
-
-    pairs = sibling_pairs(tree)
-    edges = edge_pairs(tree)
-    a_neq = np.zeros(cfg.shape, dtype=np.int16)
-    for y, z in pairs:
-        a_neq += bits[y] ^ bits[z]
-    b_neq = np.zeros(cfg.shape, dtype=np.int16)
-    for x, y in edges:
-        b_neq += bits[x] ^ bits[y]
-    ones = np.zeros(cfg.shape, dtype=np.int16)
+    bits = spin_bits(tree, configs)
+    a_neq, b_neq = unequal_counts(tree, bits)
+    ones = np.zeros(a_neq.shape, dtype=np.int32)
     for b in bits:
         ones += b
 
-    a = len(pairs) - 2 * a_neq.astype(np.int64)
-    b = len(edges) - 2 * b_neq.astype(np.int64)
+    a = len(sibling_pairs(tree)) - 2 * a_neq.astype(np.int64)
+    b = len(edge_pairs(tree)) - 2 * b_neq.astype(np.int64)
     c = 2 * ones.astype(np.int64) - tree.n_vertices
     return a, b, c
 

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from cbtree import exact_oracle
 from cbtree.cli import main, run_verification
 
 TWO_FIVE_ARGS = ["--theta", "5", "--theta1", "2"]
@@ -31,7 +32,7 @@ class TestFixedPointsCommand:
         assert main(["fixed-points", "--J", "1", "--J1", "1", "--beta", "2",
                      "--format", "json", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
-        assert doc["schema"] == 1
+        assert doc["schema"] == 2
         assert doc["result"]["regime"] == "three"
 
     def test_rejects_mixed_parameterization(self, capsys):
@@ -40,6 +41,14 @@ class TestFixedPointsCommand:
 
     def test_rejects_missing_parameterization(self):
         assert main(["fixed-points", "--J", "1", "--J1", "1"]) == 2
+
+    def test_float_overflow_is_usage_error(self, capsys):
+        # exp(2*beta*J) overflows a float here; the CLI must not let the
+        # exception escape as a traceback.
+        assert main(["fixed-points", "--J", "10", "--J1", "10", "--beta", "50"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: OverflowError")
+        assert "Traceback" not in err
 
 
 class TestPhaseDiagramCommand:
@@ -83,7 +92,7 @@ class TestVerifyCommand:
         out = tmp_path / "verify.json"
         assert main(["verify", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
-        assert doc["schema"] == 1
+        assert doc["schema"] == 2
         assert doc["all_pass"] is True
         names = {c["check_name"] for c in doc["checks"]}
         assert "level_factor_identity" in names
@@ -161,7 +170,7 @@ class TestGroundStateCommand:
         main(["ground-state", "--J", "1", "--J1", "1", "--grid", "beta=2:5:2",
               "--format", "json", "--out", str(out)])
         doc = json.loads(out.read_text())
-        assert doc["schema"] == 1
+        assert doc["schema"] == 2
         assert len(doc["rows"]) == 2
         assert doc["rows"][0]["regime"] == "three"
 
@@ -209,3 +218,38 @@ class TestFreeEnergyCommand:
         header, rows = read_csv(out)
         assert header == ["n", "ln_z", "f_n"]
         assert len(rows) == 30
+
+
+DEPTH3_SWEEP = ["beta-sweep", "--J", "0.6", "--J1", "1.0", "--grid", "beta=2:40:4",
+                "--depth", "3"]
+DEPTH3_GROUND = ["ground-state", "--J", "-0.4", "--J1", "1", "--grid", "beta=3:6:2",
+                 "--depth", "3"]
+
+
+class TestDepth3Enumeration:
+    def test_masses_at_most_one(self, tmp_path):
+        # Each extreme configuration's log weight must be the same float
+        # expression as its count-table bin, or mass_plus can print above 1.
+        out = tmp_path / "sweep.csv"
+        assert main(DEPTH3_SWEEP + ["--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 4
+        for row in rows:
+            assert 0.0 <= float(row["mass_plus"]) <= 1.0
+
+    def test_table_built_once_by_threaded_sweep(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("CBTREE_THREADS", "2")
+        exact_oracle._build_count_table.cache_clear()
+        assert main(DEPTH3_SWEEP + ["--out", str(tmp_path / "sweep.csv")]) == 0
+        assert exact_oracle._build_count_table.cache_info().misses == 1
+
+    @pytest.mark.parametrize("cmd", [DEPTH3_SWEEP, DEPTH3_GROUND], ids=["sweep", "ground"])
+    def test_bytes_independent_of_threads(self, cmd, tmp_path, monkeypatch):
+        outputs = []
+        for threads in (1, 2):
+            monkeypatch.setenv("CBTREE_THREADS", str(threads))
+            exact_oracle._build_count_table.cache_clear()  # rebuild at this thread count
+            path = tmp_path / f"out{threads}.csv"
+            assert main(cmd + ["--out", str(path)]) == 0
+            outputs.append(path.read_bytes())
+        assert outputs[0] == outputs[1]

@@ -1,11 +1,20 @@
 import math
+import sys
+import threading
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cbtree import exact_oracle
 from cbtree.exact_oracle import (
+    MINUS_BIN,
+    PLUS_BIN,
     BoundaryField,
     check_consistency,
+    count_table,
     log_partition,
     log_weights,
     marginal_prob,
@@ -13,7 +22,7 @@ from cbtree.exact_oracle import (
     plus_minus_mass,
 )
 from cbtree.field_recursion import FieldAssignment, propagate_inward, ti_fixed_points
-from cbtree.model import ModelParams, SpinConfig
+from cbtree.model import ModelParams, SpinConfig, spin_bits, sufficient_stats, sufficient_stats_batch
 from cbtree.topology import build_tree
 
 FREE = ModelParams(J=0.0, J1=0.0, beta=1.0)
@@ -210,3 +219,89 @@ class TestPlusMinusMass:
         n = tree.n_vertices
         assert mass_plus == pytest.approx(2.0**-n, rel=0.25)
         assert mass_minus == pytest.approx(2.0**-n, rel=0.25)
+
+
+# Half depth 4 (2**31 configurations) is left out: one enumeration pass
+# takes minutes.
+TABLE_TREES = [(d, "full") for d in range(4)] + [(d, "half") for d in range(4)]
+SMALL_TREES = [(d, "full") for d in range(3)] + [(d, "half") for d in range(4)]
+
+
+class TestCountTable:
+    @pytest.mark.parametrize("depth,mode", TABLE_TREES)
+    def test_exact_counts(self, depth, mode):
+        tree = build_tree(depth, mode)
+        table = count_table(tree)
+        assert table.count.dtype == np.int64
+        assert int(table.count.sum()) == 2**tree.n_vertices
+        bins = dict(zip(zip(table.a.tolist(), table.b.tolist(), table.c.tolist()),
+                        table.count.tolist()))
+        assert len(bins) == table.count.size
+        for (a, b, c), n in bins.items():
+            assert bins.get((a, b, -c)) == n  # spin-flip symmetry
+        a, b, _ = sufficient_stats(tree, SpinConfig.all_plus(tree))
+        nb = tree.level_size(depth)
+        assert table.count[PLUS_BIN] == table.count[MINUS_BIN] == 1
+        assert (table.a[PLUS_BIN], table.b[PLUS_BIN], table.c[PLUS_BIN]) == (a, b, nb)
+        assert (table.a[MINUS_BIN], table.b[MINUS_BIN], table.c[MINUS_BIN]) == (a, b, -nb)
+
+    @pytest.mark.parametrize("depth,mode", SMALL_TREES)
+    def test_matches_per_configuration_histogram(self, depth, mode):
+        tree = build_tree(depth, mode)
+        cfgs = np.arange(1 << tree.n_vertices)
+        a, b, _ = sufficient_stats_batch(tree, cfgs)
+        bits = spin_bits(tree, cfgs)
+        c = sum(2 * bits[x].astype(np.int64) - 1 for x in tree.boundary)
+        expected = Counter(zip(a.tolist(), b.tolist(), c.tolist()))
+        table = count_table(tree)
+        got = dict(zip(zip(table.a.tolist(), table.b.tolist(), table.c.tolist()),
+                       table.count.tolist()))
+        assert got == dict(expected)
+
+    def test_read_only(self):
+        table = count_table(build_tree(1, "full"))
+        with pytest.raises(ValueError):
+            table.count[0] = 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        tree_key=st.sampled_from(SMALL_TREES),
+        bj=st.floats(-20.0, 20.0),
+        bj1=st.floats(-20.0, 20.0),
+        h=st.floats(-5.0, 5.0),
+    )
+    def test_log_partition_matches_per_configuration_route(self, tree_key, bj, bj1, h):
+        tree = build_tree(*tree_key)
+        params = ModelParams(J=bj, J1=bj1, beta=1.0)
+        bf = BoundaryField.constant(tree, h)
+        per_config = exact_oracle._log_partition_enumerated(tree, params, bf)
+        assert abs(log_partition(tree, params, h) - per_config) <= 1e-13 * abs(per_config)
+        mass_plus, mass_minus = plus_minus_mass(tree, params, h)
+        assert 0.0 <= mass_plus <= 1.0 and 0.0 <= mass_minus <= 1.0
+
+    def test_depth3_log_partition_matches_per_configuration_route(self):
+        tree = build_tree(3, "full")
+        params = ModelParams(J=0.6, J1=1.0, beta=2.0)
+        h = ti_fixed_points(params).h3
+        per_config = exact_oracle._log_partition_enumerated(
+            tree, params, BoundaryField.constant(tree, h))
+        assert abs(log_partition(tree, params, h) - per_config) <= 1e-13 * abs(per_config)
+
+    def test_concurrent_first_callers_build_once(self):
+        tree = build_tree(2, "full")
+        exact_oracle._build_count_table.cache_clear()
+        results = []
+        saved = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=lambda: results.append(count_table(tree)))
+                       for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(saved)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == 8 and all(r is results[0] for r in results)
+        assert exact_oracle._build_count_table.cache_info().misses == 1
