@@ -59,13 +59,10 @@ from .model import (
     sufficient_stats_batch,
 )
 from .topology import (
-    TernaryTriple,
     TreeIndex,
     boundary_sets,
     build_tree,
     connected_subsets,
-    nearest_pairs,
-    ternary_triples,
 )
 
 __version__ = "0.1.0"

@@ -1,9 +1,11 @@
 """Command-line front end: sweeps, verification, machine-readable output.
 
 Outputs are byte-reproducible: floats are printed with 17 significant
-digits, newlines are always ``\\n``, grid rows are written in grid order no
-matter how the work was spread over threads, and the ``verify`` report is a
-pure function of its seed.
+digits, newlines are always ``\\n``, grid rows are computed and written in
+grid order, and the ``verify`` report is a pure function of its seed.  The
+commands themselves run on one thread; only the enumeration passes inside
+``exact_oracle`` spread their blocks over ``CBTREE_THREADS`` workers, and
+those reduce in a fixed block order.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (an input
 outside the range the arithmetic handles counts as one).
@@ -15,7 +17,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,55 +40,33 @@ from .field_recursion import (
     ti_map,
 )
 from .model import ModelParams
-from .parallel import parallel_map
 from .topology import build_tree
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 class UsageError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One validated CLI invocation."""
+def _point_params(args: argparse.Namespace) -> ModelParams:
+    coupling = [v is not None for v in (args.J, args.J1, args.beta)]
+    theta_mode = [v is not None for v in (args.theta, args.theta1)]
+    if all(coupling) and not any(theta_mode):
+        return ModelParams(J=args.J, J1=args.J1, beta=args.beta)
+    if all(theta_mode) and not any(coupling):
+        return ModelParams.from_thetas(args.theta, args.theta1)
+    raise UsageError("give exactly one of (--J --J1 --beta) or (--theta --theta1)")
 
-    command: str
-    J: float | None = None
-    J1: float | None = None
-    beta: float | None = None
-    theta: float | None = None
-    theta1: float | None = None
-    grids: dict = field(default_factory=dict)
-    depth: int = 2
-    seed: int = 0
-    out: str | None = None
-    curve_out: str | None = None
-    fmt: str = "csv"
-    branch: str = "u3"
-    n_max: int = 30
-    experimental: bool = False
-    inject_failure: bool = False
 
-    @property
-    def point_params(self) -> ModelParams:
-        coupling = [v is not None for v in (self.J, self.J1, self.beta)]
-        theta_mode = [v is not None for v in (self.theta, self.theta1)]
-        if all(coupling) and not any(theta_mode):
-            return ModelParams(J=self.J, J1=self.J1, beta=self.beta)
-        if all(theta_mode) and not any(coupling):
-            return ModelParams.from_thetas(self.theta, self.theta1)
-        raise UsageError("give exactly one of (--J --J1 --beta) or (--theta --theta1)")
-
-    def grid(self, name: str) -> np.ndarray:
-        if name not in self.grids:
-            raise UsageError(f"missing --grid {name}=start:stop:count")
-        return self.grids[name]
+def _grid(grids: dict, name: str) -> np.ndarray:
+    if name not in grids:
+        raise UsageError(f"missing --grid {name}=start:stop:count")
+    return grids[name]
 
 
 def _fmt(x) -> str:
@@ -158,8 +137,8 @@ def _json_doc(command: str, payload: dict) -> str:
 # commands
 
 
-def cmd_fixed_points(cfg: RunConfig) -> int:
-    params = cfg.point_params
+def cmd_fixed_points(args: argparse.Namespace) -> int:
+    params = _point_params(args)
     fps = ti_fixed_points(params)
     row = {
         "J": params.J,
@@ -176,27 +155,28 @@ def cmd_fixed_points(cfg: RunConfig) -> int:
         "residual_u1": abs(ti_map(params, fps.u1) - fps.u1),
         "residual_u3": abs(ti_map(params, fps.u3) - fps.u3),
     }
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         text = _json_doc("fixed-points", {"result": row})
     else:
         keys = list(row)
         text = _csv(keys, [[row[k] for k in keys]])
-    _write_output(cfg.out, text)
+    _write_output(args.out, text)
     return EXIT_OK
 
 
-def cmd_phase_diagram(cfg: RunConfig) -> int:
-    theta1_grid = cfg.grid("theta1")
-    theta_grid = cfg.grid("theta")
+def cmd_phase_diagram(args: argparse.Namespace) -> int:
+    grids = _parse_grid_specs(args.grid)
+    theta1_grid = _grid(grids, "theta1")
+    theta_grid = _grid(grids, "theta")
+    curve_out = args.curve_out
+    if curve_out is None and args.out not in (None, "-"):
+        curve_out = args.out + ".curve"
 
-    def classify_row(t1: float):
-        rows = []
+    grid_rows = []
+    for t1 in theta1_grid:
         for t in theta_grid:
             fps = ti_fixed_points(ModelParams.from_thetas(float(t), float(t1)))
-            rows.append((t1, float(t), fps.regime, fps.u1, fps.u3))
-        return rows
-
-    grid_rows = [r for chunk in parallel_map(classify_row, theta1_grid) for r in chunk]
+            grid_rows.append((t1, float(t), fps.regime, fps.u1, fps.u3))
 
     pole = math.sqrt(3.0)
     curve_points = [float(t1) for t1 in theta1_grid if t1 > pole + 1e-9]
@@ -206,22 +186,22 @@ def cmd_phase_diagram(cfg: RunConfig) -> int:
               f"sqrt(3) pole of the critical curve", file=sys.stderr)
     curve_rows = [(t1, tc, j1b, jb) for t1, tc, j1b, jb in critical_curve(curve_points)]
 
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         text = _json_doc("phase-diagram", {
             "rows": [dict(zip(("theta1", "theta", "regime", "u1", "u3"), r)) for r in grid_rows],
             "curve": [dict(zip(("theta1", "theta_c", "j1_beta", "j_beta"), r)) for r in curve_rows],
         })
-        _write_output(cfg.out, text)
+        _write_output(args.out, text)
     else:
-        _write_output(cfg.out, _csv(["theta1", "theta", "regime", "u1", "u3"], grid_rows))
+        _write_output(args.out, _csv(["theta1", "theta", "regime", "u1", "u3"], grid_rows))
         curve_text = _csv(["theta1", "theta_c", "j1_beta", "j_beta"], curve_rows)
-        _write_output(cfg.curve_out, curve_text)
+        _write_output(curve_out, curve_text)
     return EXIT_OK
 
 
-def cmd_free_energy(cfg: RunConfig) -> int:
-    params = cfg.point_params
-    rep = free_energy(params, branch=cfg.branch, n_max=cfg.n_max)
+def cmd_free_energy(args: argparse.Namespace) -> int:
+    params = _point_params(args)
+    rep = free_energy(params, branch=args.branch, n_max=args.n_max)
     payload = {
         "params": {"J": params.J, "J1": params.J1, "beta": params.beta},
         "branch": rep.branch,
@@ -235,7 +215,7 @@ def cmd_free_energy(cfg: RunConfig) -> int:
         "f_n": list(rep.f_n),
         "ln_z": list(rep.ln_z),
     }
-    if cfg.experimental:
+    if args.experimental_closed_form:
         asym = zero_temperature_limit(params.J, params.J1, closed_forms=True)
         payload["asymptote"] = {
             "slope": asym.slope,
@@ -246,7 +226,7 @@ def cmd_free_energy(cfg: RunConfig) -> int:
             "closed_form_verbatim": asym.closed_form_verbatim,
             "closed_form_corrected": asym.closed_form_corrected,
         }
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         text = _json_doc("free-energy", payload)
     else:
         rows = [(n, z, f) for n, (z, f) in enumerate(zip(rep.ln_z, rep.f_n), start=1)]
@@ -256,11 +236,11 @@ def cmd_free_energy(cfg: RunConfig) -> int:
             f"f_extrapolated={_fmt(rep.f_extrapolated)} f_const_field={_fmt(rep.f_const_field)}",
         ]
         text = _csv(["n", "ln_z", "f_n"], rows, comments)
-    _write_output(cfg.out, text)
+    _write_output(args.out, text)
     return EXIT_OK
 
 
-def _beta_sweep_row(J: float, J1: float, beta: float, depth: int, tree):
+def _beta_sweep_row(J: float, J1: float, beta: float, tree):
     params = ModelParams(J=J, J1=J1, beta=float(beta))
     fps = ti_fixed_points(params)
     rep3 = free_energy(params, "u3")
@@ -286,54 +266,56 @@ _SWEEP_COLUMNS = ["beta", "regime", "u1", "u3", "F_u3", "F_u1", "F_sym_check",
                   "root_prob", "mass_plus"]
 
 
-def cmd_beta_sweep(cfg: RunConfig) -> int:
-    if cfg.J is None or cfg.J1 is None:
+def cmd_beta_sweep(args: argparse.Namespace) -> int:
+    grids = _parse_grid_specs(args.grid)
+    if args.J is None or args.J1 is None:
         raise UsageError("beta-sweep requires --J and --J1")
-    betas = cfg.grid("beta")
+    betas = _grid(grids, "beta")
     tree = None
-    if cfg.depth <= exact_oracle.FULL_ENUM_DEPTH_CAP:
-        tree = build_tree(cfg.depth, "full")
+    if args.depth <= exact_oracle.FULL_ENUM_DEPTH_CAP:
+        tree = build_tree(args.depth, "full")
     else:
-        print(f"warning: depth {cfg.depth} beyond the enumeration cap; "
+        print(f"warning: depth {args.depth} beyond the enumeration cap; "
               f"mass_plus column left empty", file=sys.stderr)
 
-    rows = parallel_map(lambda b: _beta_sweep_row(cfg.J, cfg.J1, b, cfg.depth, tree), betas)
-    if cfg.fmt == "json":
+    rows = [_beta_sweep_row(args.J, args.J1, b, tree) for b in betas]
+    if args.fmt == "json":
         text = _json_doc("beta-sweep", {
-            "params": {"J": cfg.J, "J1": cfg.J1, "depth": cfg.depth},
+            "params": {"J": args.J, "J1": args.J1, "depth": args.depth},
             "rows": [dict(zip(_SWEEP_COLUMNS, r)) for r in rows],
         })
     else:
         comments = [
-            f"beta-sweep J={_fmt(cfg.J)} J1={_fmt(cfg.J1)} depth={cfg.depth}",
+            f"beta-sweep J={_fmt(args.J)} J1={_fmt(args.J1)} depth={args.depth}",
             " ".join(_SWEEP_COLUMNS),
         ]
         text = _csv(_SWEEP_COLUMNS, rows, comments)
-    _write_output(cfg.out, text)
+    _write_output(args.out, text)
     return EXIT_OK
 
 
-def cmd_ground_state(cfg: RunConfig) -> int:
-    if cfg.J is None or cfg.J1 is None:
+def cmd_ground_state(args: argparse.Namespace) -> int:
+    grids = _parse_grid_specs(args.grid)
+    if args.J is None or args.J1 is None:
         raise UsageError("ground-state requires --J and --J1")
-    betas = cfg.grid("beta")
-    rows = ground_states.ground_state_scan(cfg.J, cfg.J1, betas, depth=cfg.depth)
+    betas = _grid(grids, "beta")
+    rows = ground_states.ground_state_scan(args.J, args.J1, betas, depth=args.depth)
     cols = ["beta", "regime", "u1", "u3", "root_prob", "mass_plus", "mass_minus"]
     data = [(r.beta, r.regime, r.u1, r.u3, r.root_prob, r.mass_plus, r.mass_minus)
             for r in rows]
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         text = _json_doc("ground-state", {
-            "params": {"J": cfg.J, "J1": cfg.J1, "depth": cfg.depth},
+            "params": {"J": args.J, "J1": args.J1, "depth": args.depth},
             "rows": [dict(zip(cols, r)) for r in data],
         })
     else:
-        text = _csv(cols, data, [f"ground-state J={_fmt(cfg.J)} J1={_fmt(cfg.J1)} depth={cfg.depth}"])
-    _write_output(cfg.out, text)
+        text = _csv(cols, data, [f"ground-state J={_fmt(args.J)} J1={_fmt(args.J1)} depth={args.depth}"])
+    _write_output(args.out, text)
     return EXIT_OK
 
 
-def cmd_lemma_check(cfg: RunConfig) -> int:
-    res = ground_states.exhaustive_lemma_check(cfg.depth)
+def cmd_lemma_check(args: argparse.Namespace) -> int:
+    res = ground_states.exhaustive_lemma_check(args.depth)
     payload = {
         "depth": res.depth,
         "config_count": res.config_count,
@@ -346,14 +328,14 @@ def cmd_lemma_check(cfg: RunConfig) -> int:
         "subset_witness": sorted(res.subset_witness) if res.subset_witness else None,
         "clean": res.clean,
     }
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         text = _json_doc("lemma-check", payload)
     else:
         keys = list(payload)
         row = [payload[k] if not isinstance(payload[k], list) else
                ";".join(str(v) for v in payload[k]) for k in keys]
         text = _csv(keys, [row])
-    _write_output(cfg.out, text)
+    _write_output(args.out, text)
     return EXIT_OK if res.clean else EXIT_CHECK_FAILED
 
 
@@ -379,18 +361,6 @@ def _check_level_factor_identity(rng, draws=1000):
         err = max(err, abs(math.exp(rate - 0.5 * (w_up + w_dn)) - 1.0))
     return {"check_name": "level_factor_identity", "draws": draws, "max_error": err,
             "tol": 1e-10}
-
-
-def _check_recursion_weight_match(rng, draws=1000):
-    bj, bj1 = rng.uniform(-10, 10, (2, draws))
-    hy, hz = rng.uniform(-10, 10, (2, draws))
-    err = 0.0
-    for j, j1, y, z in zip(bj, bj1, hy, hz):
-        p = ModelParams(J=j, J1=j1, beta=1.0)
-        w_up, w_dn = pair_log_weights(p, y, z)
-        err = max(err, abs(0.5 * (w_up - w_dn) - child_to_parent(p, y, z)))
-    return {"check_name": "recursion_weight_match", "draws": draws, "max_error": err,
-            "tol": 1e-12}
 
 
 def _check_theta_form_match(rng, draws=400):
@@ -463,7 +433,6 @@ def run_verification(seed: int = 0, inject_failure: bool = False) -> dict:
     checks = []
     for fn in (
         _check_level_factor_identity,
-        _check_recursion_weight_match,
         _check_theta_form_match,
         _check_kernel_symmetries,
         _check_recursion_vs_enumeration,
@@ -486,9 +455,9 @@ def run_verification(seed: int = 0, inject_failure: bool = False) -> dict:
     }
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    report = run_verification(seed=cfg.seed, inject_failure=cfg.inject_failure)
-    _write_output(cfg.out, json.dumps(_jsonify(report), indent=2, sort_keys=True) + "\n")
+def cmd_verify(args: argparse.Namespace) -> int:
+    report = run_verification(seed=args.seed, inject_failure=args.inject_failure)
+    _write_output(args.out, json.dumps(_jsonify(report), indent=2, sort_keys=True) + "\n")
     if not report["all_pass"]:
         failing = [c["check_name"] for c in report["checks"] if not c["pass"]]
         print(f"verification failed: {', '.join(failing)}", file=sys.stderr)
@@ -557,31 +526,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    grids = _parse_grid_specs(getattr(args, "grid", None))
-    curve_out = getattr(args, "curve_out", None)
-    if args.command == "phase-diagram" and curve_out is None and args.out not in (None, "-"):
-        curve_out = args.out + ".curve"
-    return RunConfig(
-        command=args.command,
-        J=getattr(args, "J", None),
-        J1=getattr(args, "J1", None),
-        beta=getattr(args, "beta", None),
-        theta=getattr(args, "theta", None),
-        theta1=getattr(args, "theta1", None),
-        grids=grids,
-        depth=getattr(args, "depth", 2),
-        seed=getattr(args, "seed", 0),
-        out=args.out,
-        curve_out=curve_out,
-        fmt=getattr(args, "fmt", "csv"),
-        branch=getattr(args, "branch", "u3"),
-        n_max=getattr(args, "n_max", 30),
-        experimental=getattr(args, "experimental_closed_form", False),
-        inject_failure=getattr(args, "inject_failure", False),
-    )
-
-
 _COMMANDS = {
     "fixed-points": cmd_fixed_points,
     "phase-diagram": cmd_phase_diagram,
@@ -597,8 +541,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command](args)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -12,7 +12,9 @@ The finite-volume Gibbs weight of a configuration s is
 with the boundary field h living on the outermost level only.  All
 probability work happens in log space; log weights are combined by a block
 log-sum-exp with fixed block boundaries, so results are independent of the
-worker-thread count.
+worker-thread count.  These block passes are the only work in the package
+spread over threads (``parallel_map``, one block per item); everything else
+is too small per item for a thread to pay for itself.
 
 Two routes share that enumeration.  For a constant boundary field h the log
 weight is beta*J*A + beta*J1*B + h*C_boundary, whose integer statistics do
@@ -38,7 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import model
-from .field_recursion import FieldAssignment
+from .field_recursion import FieldAssignment, _lse
 from .model import ModelParams, SpinConfig
 from .parallel import parallel_map
 from .topology import TreeIndex, build_tree, edge_pairs, sibling_pairs
@@ -105,14 +107,6 @@ def _check_enum_cap(tree: TreeIndex) -> None:
         raise ValueError(
             f"enumeration capped at depth {cap} for {tree.mode} trees, got {tree.depth}"
         )
-
-
-def _lse(values) -> float:
-    a = np.asarray(values, dtype=np.float64)
-    m = float(np.max(a))
-    if not math.isfinite(m):
-        return m
-    return m + float(np.log(np.sum(np.exp(a - m))))
 
 
 def log_weights(tree: TreeIndex, params: ModelParams, h, configs) -> np.ndarray:

@@ -109,39 +109,50 @@ def _lse4(a: float, b: float, c: float, d: float) -> float:
     )
 
 
-def child_to_parent(params: ModelParams, h_y, h_z):
-    """Effective parent field produced by two child fields.
+def _lse4_array(*terms) -> np.ndarray:
+    return np.logaddexp.reduce(np.stack(np.broadcast_arrays(*terms)), axis=0)
 
-    Log-sum-exp over the four child spin states conditioned on parent spin
-    up minus parent spin down, halved.  Accepts scalars or broadcastable
-    arrays; returns a float for scalar input.
+
+def _lse(values) -> float:
+    """log(sum(exp(values))) over a whole array, shifted by its maximum."""
+    a = np.asarray(values, dtype=np.float64)
+    m = float(np.max(a))
+    if not math.isfinite(m):
+        return m
+    return m + float(np.log(np.sum(np.exp(a - m))))
+
+
+def pair_log_weights(params: ModelParams, h_y, h_z):
+    """Log of the two conditional sums over a child pair, given the parent.
+
+    Each is a four-term Boltzmann sum over the child spins; the first
+    conditions on parent spin up, the second on parent spin down.  Their
+    half-difference is the parent's effective field (``child_to_parent``),
+    their half-sum the level log factor.  Scalar inputs take a ``math``
+    branch and return floats (the constant-field solves call it once per
+    point); broadcastable arrays are reduced with numpy.
     """
     a1 = 2.0 * params.beta * params.J1
     aj = params.beta * params.J
     if np.ndim(h_y) == 0 and np.ndim(h_z) == 0:
-        hy, hz = float(h_y), float(h_z)
-        up = _lse4(a1 + aj + hy + hz, -aj - hy + hz, -aj + hy - hz, -a1 + aj - hy - hz)
-        down = _lse4(-a1 + aj + hy + hz, -aj - hy + hz, -aj + hy - hz, a1 + aj - hy - hz)
-        return 0.5 * (up - down)
-    hy = np.asarray(h_y, dtype=np.float64)
-    hz = np.asarray(h_z, dtype=np.float64)
-    up = np.stack(
-        np.broadcast_arrays(
-            a1 + aj + hy + hz,
-            -aj - hy + hz,
-            -aj + hy - hz,
-            -a1 + aj - hy - hz,
-        )
-    )
-    down = np.stack(
-        np.broadcast_arrays(
-            -a1 + aj + hy + hz,
-            -aj - hy + hz,
-            -aj + hy - hz,
-            a1 + aj - hy - hz,
-        )
-    )
-    return 0.5 * (np.logaddexp.reduce(up, axis=0) - np.logaddexp.reduce(down, axis=0))
+        hy, hz, lse = float(h_y), float(h_z), _lse4
+    else:
+        hy = np.asarray(h_y, dtype=np.float64)
+        hz = np.asarray(h_z, dtype=np.float64)
+        lse = _lse4_array
+    w_up = lse(a1 + aj + hy + hz, -aj - hy + hz, -aj + hy - hz, -a1 + aj - hy - hz)
+    w_down = lse(-a1 + aj + hy + hz, -aj - hy + hz, -aj + hy - hz, a1 + aj - hy - hz)
+    return w_up, w_down
+
+
+def child_to_parent(params: ModelParams, h_y, h_z):
+    """Effective parent field produced by two child fields.
+
+    Half the difference of the two ``pair_log_weights``.  Accepts scalars or
+    broadcastable arrays; returns a float for scalar input.
+    """
+    w_up, w_down = pair_log_weights(params, h_y, h_z)
+    return 0.5 * (w_up - w_down)
 
 
 def ti_map(params: ModelParams, u: float) -> float:
@@ -181,6 +192,21 @@ def propagate_inward(tree: TreeIndex, params: ModelParams, boundary) -> FieldAss
     return FieldAssignment(tree=tree, h=tuple(float(v) for v in h), root_rule=root_rule)
 
 
+def _classify(params: ModelParams) -> tuple[str, float]:
+    """Regime tag and root sum t = -(1 + alpha) of the non-trivial roots.
+
+    The discriminant (t - 2)(t + 2) decides the regime: within
+    DEGENERACY_TOL of zero the twin roots are reported as degenerate,
+    otherwise three solutions exist exactly when t > 2.  That form stays
+    finite even when t*t would overflow.
+    """
+    theta1 = params.theta1_exp
+    t = theta1 * theta1 - 2.0 * theta1 / params.theta_exp - 1.0
+    if t > 0.0 and abs((t - 2.0) * (t + 2.0)) <= DEGENERACY_TOL:
+        return REGIME_DEGENERATE, t
+    return (REGIME_THREE if t > 2.0 else REGIME_UNIQUE), t
+
+
 def ti_fixed_points(params: ModelParams) -> TIFixedPoints:
     """All positive constant-field fixed points, from the exact factorization.
 
@@ -189,18 +215,13 @@ def ti_fixed_points(params: ModelParams) -> TIFixedPoints:
     the non-cancelling quadratic branch and the smaller as its reciprocal
     (the product of the two roots is exactly 1).
     """
-    theta = params.theta_exp
-    theta1 = params.theta1_exp
-    t = theta1 * theta1 - 2.0 * theta1 / theta - 1.0  # -(1 + alpha), the root sum
-    # The discriminant (t - 2)(t + 2) decides the regime; this form and the
-    # root expression below stay finite even when t*t would overflow.
-    if t > 0.0 and abs((t - 2.0) * (t + 2.0)) <= DEGENERACY_TOL:
-        fps = TIFixedPoints(REGIME_DEGENERATE, 1.0, 1.0, 1.0)
-    elif t > 2.0:
+    regime, t = _classify(params)
+    if regime == REGIME_THREE:
+        # Stays finite even when t*t would overflow.
         u3 = 0.5 * t * (1.0 + math.sqrt(1.0 - 4.0 / (t * t)))
         fps = TIFixedPoints(REGIME_THREE, 1.0 / u3, 1.0, u3)
     else:
-        fps = TIFixedPoints(REGIME_UNIQUE, 1.0, 1.0, 1.0)
+        fps = TIFixedPoints(regime, 1.0, 1.0, 1.0)
 
     for u in (fps.u1, fps.u2, fps.u3):
         if abs(ti_map(params, u) - u) > RESIDUAL_TOL * max(1.0, u):
@@ -211,11 +232,12 @@ def ti_fixed_points(params: ModelParams) -> TIFixedPoints:
 
 
 def phase_predicate(params: ModelParams) -> bool:
-    """True exactly when three constant-field solutions exist (strict)."""
-    theta1 = params.theta1_exp
-    if theta1 <= math.sqrt(3.0):
-        return False
-    return params.theta_exp > 2.0 * theta1 / (theta1 * theta1 - 3.0)
+    """True exactly when three constant-field solutions exist (strict).
+
+    Shares ``ti_fixed_points``' classification, degeneracy band included,
+    so the two never disagree near the critical curve.
+    """
+    return _classify(params)[0] == REGIME_THREE
 
 
 def critical_curve(theta1_grid) -> list[tuple[float, float, float, float]]:

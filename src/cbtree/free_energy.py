@@ -4,7 +4,9 @@ Peeling the outermost level off a depth-n slice multiplies the partition
 function by one factor per depth-(n-1) vertex.  The log of that factor,
 ``level_log_factor``, decomposes into three stable kernels built on
 ln(2 cosh); it equals half the sum of the two conditional child-pair log
-weights, which is the central identity the test suite hammers on.
+weights (``pair_log_weights``, defined next to the field recursion that
+takes their half-difference and re-exported here), which is the central
+identity the test suite hammers on.
 
 With the base ln Z_1 enumerated directly (16 terms on the full tree, 8 on
 the half tree), telescoping the factors reproduces ln Z_n exactly.  The
@@ -23,7 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field_recursion import REGIME_THREE, FieldAssignment, ti_fixed_points
+from .field_recursion import (
+    REGIME_THREE,
+    FieldAssignment,
+    _lse,
+    pair_log_weights,  # re-exported
+    ti_fixed_points,
+)
 from .model import ModelParams
 
 
@@ -64,41 +72,6 @@ def effective_field(x, params: ModelParams):
     return out
 
 
-def pair_log_weights(params: ModelParams, h_y, h_z):
-    """Log of the two conditional sums over a child pair, given the parent.
-
-    Each is a four-term Boltzmann sum over the child spins; the first
-    conditions on parent spin up, the second on parent spin down.  Their
-    half-difference is the parent's effective field, their half-sum the
-    level log factor.
-    """
-    hy = np.asarray(h_y, dtype=np.float64)
-    hz = np.asarray(h_z, dtype=np.float64)
-    a1 = 2.0 * params.beta * params.J1
-    aj = params.beta * params.J
-    up = np.stack(
-        np.broadcast_arrays(
-            a1 + aj + hy + hz,
-            -aj - hy + hz,
-            -aj + hy - hz,
-            -a1 + aj - hy - hz,
-        )
-    )
-    down = np.stack(
-        np.broadcast_arrays(
-            -a1 + aj + hy + hz,
-            -aj - hy + hz,
-            -aj + hy - hz,
-            a1 + aj - hy - hz,
-        )
-    )
-    w_up = np.logaddexp.reduce(up, axis=0)
-    w_down = np.logaddexp.reduce(down, axis=0)
-    if w_up.ndim == 0:
-        return float(w_up), float(w_down)
-    return w_up, w_down
-
-
 def level_log_factor(params: ModelParams, h_y, h_z):
     """Log factor contributed by one parent when its level is peeled off.
 
@@ -121,12 +94,6 @@ def level_log_factor(params: ModelParams, h_y, h_z):
     if np.ndim(out) == 0:
         return float(out)
     return out
-
-
-def _lse(values) -> float:
-    a = np.asarray(values, dtype=np.float64)
-    m = float(np.max(a))
-    return m + float(np.log(np.sum(np.exp(a - m))))
 
 
 def _ln_z1(params: ModelParams, mode: str, child_fields) -> float:

@@ -17,13 +17,10 @@ from dataclasses import dataclass
 from . import exact_oracle
 from .field_recursion import REGIME_THREE, ti_fixed_points
 from .model import ModelParams, stat_maxima
-from .parallel import parallel_map
 from .topology import boundary_sets, build_tree, connected_subsets
 
 # Non-decreasing mass along the in-regime beta tail, up to this slack.
 MONOTONE_SLACK = 1e-9
-
-_SUBSET_DEPTH_CAP = 3
 
 
 @dataclass(frozen=True)
@@ -96,7 +93,7 @@ def ground_state_scan(J: float, J1: float, beta_grid, depth: int = 2) -> list[Gr
             mass_minus=mass_minus,
         )
 
-    rows = parallel_map(one, beta_grid)
+    rows = [one(beta) for beta in beta_grid]
     in_regime = [r for r in rows if r.mass_plus is not None]
     for prev, cur in zip(in_regime, in_regime[1:]):
         if cur.mass_plus < prev.mass_plus - MONOTONE_SLACK:
@@ -134,14 +131,13 @@ def exhaustive_lemma_check(depth: int = 2) -> LemmaCheckResult:
     subset_count = 0
     subset_violations = 0
     subset_witness = None
-    if depth <= _SUBSET_DEPTH_CAP:
-        for k in connected_subsets(tree, max_count=10**6):
-            subset_count += 1
-            dk, d2k = boundary_sets(tree, k)
-            if len(d2k) > len(dk):
-                subset_violations += 1
-                if subset_witness is None:
-                    subset_witness = k
+    for k in connected_subsets(tree, max_count=10**6):
+        subset_count += 1
+        dk, d2k = boundary_sets(tree, k)
+        if len(d2k) > len(dk):
+            subset_violations += 1
+            if subset_witness is None:
+                subset_witness = k
 
     return LemmaCheckResult(
         depth=depth,

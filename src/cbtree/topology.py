@@ -75,26 +75,14 @@ class TreeIndex:
         return tuple(c for c in self.children[p] if c != v)
 
 
-@dataclass(frozen=True)
-class TernaryTriple:
-    """Parent ``x`` with two of its children ``y < z``.
-
-    The children form a same-level distance-two (sibling) pair.
-    """
-
-    y: int
-    x: int
-    z: int
-
-
-def build_tree(depth: int, mode: str = "full", max_depth: int = DEPTH_CAP) -> TreeIndex:
+def build_tree(depth: int, mode: str = "full") -> TreeIndex:
     """Build the depth-``depth`` slice, vertices numbered level by level."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if depth < 0:
         raise ValueError(f"depth must be non-negative, got {depth}")
-    if depth > max_depth:
-        raise ValueError(f"depth {depth} exceeds the enumeration cap {max_depth}")
+    if depth > DEPTH_CAP:
+        raise ValueError(f"depth {depth} exceeds the enumeration cap {DEPTH_CAP}")
 
     root_degree = 3 if mode == "full" else 2
     parent = [-1]
@@ -127,29 +115,23 @@ def build_tree(depth: int, mode: str = "full", max_depth: int = DEPTH_CAP) -> Tr
     )
 
 
-def nearest_pairs(tree: TreeIndex) -> list[tuple[int, int]]:
-    """All parent-child edges as (parent, child), ordered by child id."""
-    return [(tree.parent[v], v) for v in range(1, tree.n_vertices)]
-
-
-def ternary_triples(tree: TreeIndex) -> list[TernaryTriple]:
-    """All parent-with-child-pair triples; the child pair is in id order."""
-    triples = []
-    for x in range(tree.n_vertices):
-        for y, z in itertools.combinations(tree.children[x], 2):
-            triples.append(TernaryTriple(y=y, x=x, z=z))
-    return triples
-
-
 @lru_cache(maxsize=None)
 def sibling_pairs(tree: TreeIndex) -> tuple[tuple[int, int], ...]:
-    """Same-parent (same-level, distance-two) vertex pairs in id order."""
-    return tuple((t.y, t.z) for t in ternary_triples(tree))
+    """Same-parent (same-level, distance-two) vertex pairs, by parent id.
+
+    Each pair (y, z), y < z, with its common parent x is one ternary triple
+    <y, x, z> of the sibling coupling.
+    """
+    return tuple(
+        pair for x in range(tree.n_vertices)
+        for pair in itertools.combinations(tree.children[x], 2)
+    )
 
 
 @lru_cache(maxsize=None)
 def edge_pairs(tree: TreeIndex) -> tuple[tuple[int, int], ...]:
-    return tuple(nearest_pairs(tree))
+    """All nearest-neighbor (parent, child) edges, ordered by child id."""
+    return tuple((tree.parent[v], v) for v in range(1, tree.n_vertices))
 
 
 def _check_connected(tree: TreeIndex, k: frozenset[int]) -> None:

@@ -32,7 +32,7 @@ class TestFixedPointsCommand:
         assert main(["fixed-points", "--J", "1", "--J1", "1", "--beta", "2",
                      "--format", "json", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
-        assert doc["schema"] == 2
+        assert doc["schema"] == 3
         assert doc["result"]["regime"] == "three"
 
     def test_rejects_mixed_parameterization(self, capsys):
@@ -92,7 +92,7 @@ class TestVerifyCommand:
         out = tmp_path / "verify.json"
         assert main(["verify", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
-        assert doc["schema"] == 2
+        assert doc["schema"] == 3
         assert doc["all_pass"] is True
         names = {c["check_name"] for c in doc["checks"]}
         assert "level_factor_identity" in names
@@ -170,7 +170,7 @@ class TestGroundStateCommand:
         main(["ground-state", "--J", "1", "--J1", "1", "--grid", "beta=2:5:2",
               "--format", "json", "--out", str(out)])
         doc = json.loads(out.read_text())
-        assert doc["schema"] == 2
+        assert doc["schema"] == 3
         assert len(doc["rows"]) == 2
         assert doc["rows"][0]["regime"] == "three"
 

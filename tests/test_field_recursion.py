@@ -196,6 +196,20 @@ class TestPhasePredicate:
             params = ModelParams.from_thetas(theta, theta1)
             assert phase_predicate(params) == (ti_fixed_points(params).regime == "three")
 
+    @pytest.mark.parametrize("offset", [1e-12, 1e-9])
+    def test_agrees_with_regime_tag_near_curve(self, offset):
+        # Points a relative offset off the critical curve on either side,
+        # inside and outside the degeneracy band.
+        rng = np.random.default_rng(0)
+        disagree = 0
+        for theta1 in rng.uniform(1.8, 4.0, 5000):
+            theta_c = 2.0 * theta1 / (theta1 * theta1 - 3.0)
+            for side in (1.0, -1.0):
+                params = ModelParams.from_thetas(theta_c * (1.0 + side * offset), theta1)
+                tagged = ti_fixed_points(params).regime == "three"
+                disagree += phase_predicate(params) != tagged
+        assert disagree == 0
+
 
 class TestCriticalCurve:
     def test_point_value(self):

@@ -1,0 +1,100 @@
+"""Byte-for-byte golden outputs of every CLI command.
+
+Each case runs ``cbtree.cli.main`` in process on fixed small inputs and
+compares the exit code, stdout, stderr and any file written through
+``--out`` (with the phase-diagram ``.curve`` file) against
+``tests/golden/<case>.txt``.  After a deliberate output change, rewrite the
+files with ``PYTHONPATH=src python tests/test_golden.py`` and review the
+diff.
+"""
+
+import contextlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from cbtree.cli import main
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+# "{out}" stands for a fresh file path; the files it names are recorded.
+CASES = {
+    "fixed_points_csv": ["fixed-points", "--theta", "5", "--theta1", "2"],
+    "fixed_points_json": ["fixed-points", "--J", "1", "--J1", "1", "--beta", "2",
+                          "--format", "json"],
+    "fixed_points_degenerate": ["fixed-points", "--theta", "4", "--theta1", "2"],
+    "fixed_points_overflow": ["fixed-points", "--J", "10", "--J1", "10", "--beta", "50"],
+    "fixed_points_mixed": ["fixed-points", "--J", "1", "--theta", "5"],
+    "phase_diagram_out": ["phase-diagram", "--grid", "theta1=1.2:4:6",
+                          "--grid", "theta=0.5:8:5", "--out", "{out}"],
+    "phase_diagram_stdout": ["phase-diagram", "--grid", "theta1=2:3:2",
+                             "--grid", "theta=1:6:3"],
+    "phase_diagram_json": ["phase-diagram", "--grid", "theta1=1.5:2.5:3",
+                           "--grid", "theta=2:6:3", "--format", "json"],
+    "phase_diagram_bad_grid": ["phase-diagram", "--grid", "theta1=3:2:5",
+                               "--grid", "theta=1:2:3"],
+    "phase_diagram_missing_axis": ["phase-diagram", "--grid", "theta1=2:3:2"],
+    "free_energy_csv": ["free-energy", "--theta", "5", "--theta1", "2", "--n-max", "6"],
+    "free_energy_json_u1": ["free-energy", "--theta", "5", "--theta1", "2", "--branch", "u1",
+                            "--n-max", "5", "--format", "json"],
+    "free_energy_closed_form": ["free-energy", "--J", "1", "--J1", "1", "--beta", "20",
+                                "--n-max", "4", "--experimental-closed-form",
+                                "--format", "json"],
+    "beta_sweep_out": ["beta-sweep", "--J", "1", "--J1", "1", "--grid", "beta=0.1:10:4",
+                       "--depth", "2", "--out", "{out}"],
+    "beta_sweep_depth3_json": ["beta-sweep", "--J", "0.3", "--J1", "0.7",
+                               "--grid", "beta=1:4:4", "--depth", "3", "--format", "json"],
+    "beta_sweep_beyond_cap": ["beta-sweep", "--J", "1", "--J1", "1",
+                              "--grid", "beta=10:20:2", "--depth", "5"],
+    "beta_sweep_no_couplings": ["beta-sweep", "--grid", "beta=1:2:2"],
+    "ground_state_csv": ["ground-state", "--J", "-0.5", "--J1", "1", "--grid", "beta=1:10:4"],
+    "ground_state_depth3_json": ["ground-state", "--J", "-0.4", "--J1", "1",
+                                 "--grid", "beta=3:6:2", "--depth", "3", "--format", "json"],
+    "ground_state_beyond_cap": ["ground-state", "--J", "1", "--J1", "1",
+                                "--grid", "beta=2:3:2", "--depth", "4"],
+    "lemma_check_depth2": ["lemma-check", "--depth", "2"],
+    "lemma_check_depth1_csv": ["lemma-check", "--depth", "1", "--format", "csv"],
+    "lemma_check_depth0": ["lemma-check", "--depth", "0"],
+    "verify_seed0": ["verify", "--seed", "0"],
+    "verify_injected": ["verify", "--seed", "0", "--inject-failure", "--out", "{out}"],
+}
+
+
+def run_case(argv: list[str], tmp_dir: Path) -> str:
+    """Exit code, stdout, stderr and written files of one CLI call, as text."""
+    out_path = tmp_dir / "out"
+    argv = [str(out_path) if a == "{out}" else a for a in argv]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    sections = [("exit", f"{code}\n"), ("stdout", stdout.getvalue()),
+                ("stderr", stderr.getvalue())]
+    for path in (out_path, out_path.with_name("out.curve")):
+        if path.exists():
+            sections.append((path.name, path.read_bytes().decode("utf-8")))
+    return "".join(f"--- {name} ({len(text)} chars)\n{text}" for name, text in sections)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden(name, tmp_path):
+    expected = (GOLDEN_DIR / f"{name}.txt").read_bytes().decode("utf-8")
+    assert run_case(CASES[name], tmp_path) == expected
+
+
+def _rewrite_all() -> None:
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for name, argv in sorted(CASES.items()):
+        with tempfile.TemporaryDirectory() as tmp:
+            text = run_case(argv, Path(tmp))
+        (GOLDEN_DIR / f"{name}.txt").write_bytes(text.encode("utf-8"))
+        print(f"wrote {name}.txt", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    _rewrite_all()

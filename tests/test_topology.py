@@ -7,9 +7,8 @@ from cbtree.topology import (
     boundary_sets,
     build_tree,
     connected_subsets,
-    nearest_pairs,
+    edge_pairs,
     sibling_pairs,
-    ternary_triples,
 )
 
 
@@ -67,7 +66,7 @@ class TestBuildTree:
     def test_connected_and_acyclic(self):
         tree = build_tree(3, "half")
         # n-1 edges plus full reachability from the root means a tree.
-        assert len(nearest_pairs(tree)) == tree.n_vertices - 1
+        assert len(edge_pairs(tree)) == tree.n_vertices - 1
         seen = {0}
         stack = [0]
         while stack:
@@ -87,9 +86,7 @@ class TestBuildTree:
     def test_depth_cap(self):
         with pytest.raises(ValueError, match="cap"):
             build_tree(13, "full")
-        build_tree(5, "full", max_depth=5)
-        with pytest.raises(ValueError, match="cap"):
-            build_tree(6, "full", max_depth=5)
+        assert build_tree(12, "half").depth == 12
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
@@ -99,23 +96,30 @@ class TestBuildTree:
 
 
 class TestNearestPairs:
+    """Nearest-neighbor pairs are the (parent, child) tuples of ``edge_pairs``."""
+
     @pytest.mark.parametrize("depth,expected", [(2, 9), (1, 3), (3, 21)])
     def test_edge_counts_full(self, depth, expected):
-        assert len(nearest_pairs(build_tree(depth, "full"))) == expected
+        assert len(edge_pairs(build_tree(depth, "full"))) == expected
 
     def test_parent_before_child(self):
         tree = build_tree(2, "half")
-        for p, c in nearest_pairs(tree):
+        pairs = edge_pairs(tree)
+        assert [c for _, c in pairs] == list(range(1, tree.n_vertices))
+        for p, c in pairs:
             assert p == tree.parent[c]
             assert p < c
 
 
 class TestTernaryTriples:
+    """Each ``sibling_pairs`` entry (y, z) with its common parent x is one
+    ternary triple <y, x, z>."""
+
     @pytest.mark.parametrize(
         "depth,mode,expected", [(1, "full", 3), (2, "full", 6), (2, "half", 3)]
     )
     def test_counts(self, depth, mode, expected):
-        assert len(ternary_triples(build_tree(depth, mode))) == expected
+        assert len(sibling_pairs(build_tree(depth, mode))) == expected
 
     def test_count_formula(self):
         tree = build_tree(3, "full")
@@ -123,17 +127,19 @@ class TestTernaryTriples:
             len(tree.children[v]) * (len(tree.children[v]) - 1) // 2
             for v in range(tree.n_vertices)
         )
-        triples = ternary_triples(tree)
-        assert len(triples) == expected == 12
+        assert len(sibling_pairs(tree)) == expected == 12
 
     def test_children_of_common_parent_once(self):
         tree = build_tree(2, "full")
-        seen = set()
-        for t in ternary_triples(tree):
-            assert t.y < t.z
-            assert tree.parent[t.y] == t.x == tree.parent[t.z]
-            assert (t.y, t.z) not in seen
-            seen.add((t.y, t.z))
+        pairs = sibling_pairs(tree)
+        assert len(set(pairs)) == len(pairs)
+        for y, z in pairs:
+            assert y < z
+            assert tree.parent[y] == tree.parent[z] >= 0
+            assert tree.level[y] == tree.level[z]
+        # Ordered by the common parent's id.
+        parents = [tree.parent[y] for y, _ in pairs]
+        assert parents == sorted(parents)
 
 
 class TestBoundarySets:
@@ -204,8 +210,3 @@ class TestConnectedSubsets:
         with pytest.raises(ValueError, match="cap"):
             next(connected_subsets(build_tree(4, "half"), 10**6))
 
-
-class TestSiblingPairs:
-    def test_matches_triples(self):
-        tree = build_tree(3, "full")
-        assert list(sibling_pairs(tree)) == [(t.y, t.z) for t in ternary_triples(tree)]
