@@ -1,5 +1,13 @@
 """Command-line front end: sweeps, verification, machine-readable output.
 
+Each command computes its result and returns it as a ``_Result``: the JSON
+payload, the CSV tables with the path each one goes to, and the exit code.
+``main`` hands that to one emitter, which writes either the JSON document
+``{"schema", "command", **payload}`` or the tables; ``verify``'s report is
+JSON only and is written as it stands.  Report fields are taken from the
+library's result dataclasses in their declaration order, which is the CSV
+column order.  A table's JSON records are built only when JSON is written.
+
 Outputs are byte-reproducible: floats are printed with 17 significant
 digits, newlines are always ``\\n``, grid rows are computed and written in
 grid order, and the ``verify`` report is a pure function of its seed.  The
@@ -14,6 +22,8 @@ outside the range the arithmetic handles counts as one).
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import math
 import sys
@@ -32,6 +42,7 @@ from .free_energy import (
     zero_temperature_limit,
 )
 from .field_recursion import (
+    CURVE_POLE_TOL,
     REGIME_THREE,
     child_to_parent,
     critical_curve,
@@ -78,6 +89,8 @@ def _cell(x) -> str:
         return ""
     if isinstance(x, str):
         return x
+    if isinstance(x, list):
+        return ";".join(str(v) for v in x)
     return _fmt(x)
 
 
@@ -98,18 +111,46 @@ def _parse_grid_specs(specs) -> dict:
     return grids
 
 
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
+def _fields(obj) -> dict:
+    """A dataclass's fields by name in declaration order (a shallow copy)."""
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+
+
+@dataclasses.dataclass(frozen=True)
+class _Table:
+    """Named columns and rows of cells; CSV text, or JSON records on demand."""
+
+    columns: list[str]
+    rows: list
+    comments: tuple[str, ...] = ()
+
+    @classmethod
+    def of_record(cls, record: dict) -> "_Table":
+        return cls(list(record), [list(record.values())])
+
+    def csv(self) -> str:
+        lines = [f"# {line}" for line in self.comments]
+        lines.append(",".join(self.columns))
+        lines.extend(",".join(_cell(v) for v in row) for row in self.rows)
+        return "\n".join(lines) + "\n"
+
+
+@dataclasses.dataclass(frozen=True)
+class _Result:
+    """What a command produced: its JSON payload, its CSV tables as (path,
+    table) pairs (None for a JSON-only report), and its exit code."""
+
+    payload: dict
+    tables: list | None
+    code: int = EXIT_OK
+
+
+def _json_default(obj):
+    if isinstance(obj, _Table):
+        return [dict(zip(obj.columns, row)) for row in obj.rows]
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _write_output(path: str | None, text: str) -> None:
@@ -120,51 +161,43 @@ def _write_output(path: str | None, text: str) -> None:
         fh.write(text.encode("utf-8"))
 
 
-def _csv(header: list[str], rows, comment_lines=()) -> str:
-    lines = [f"# {line}" for line in comment_lines]
-    lines.append(",".join(header))
-    lines.extend(",".join(_cell(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _write_json(path: str | None, doc: dict) -> None:
+    _write_output(path, json.dumps(doc, indent=2, sort_keys=True, default=_json_default) + "\n")
 
 
-def _json_doc(command: str, payload: dict) -> str:
-    doc = {"schema": SCHEMA_VERSION, "command": command}
-    doc.update(payload)
-    return json.dumps(_jsonify(doc), indent=2, sort_keys=True) + "\n"
+def _emit(args: argparse.Namespace, result: _Result) -> int:
+    if result.tables is None:
+        _write_json(args.out, result.payload)
+    elif args.fmt == "json":
+        _write_json(args.out, {"schema": SCHEMA_VERSION, "command": args.command,
+                               **result.payload})
+    else:
+        for path, table in result.tables:
+            _write_output(path, table.csv())
+    return result.code
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
-def cmd_fixed_points(args: argparse.Namespace) -> int:
+def cmd_fixed_points(args: argparse.Namespace) -> _Result:
     params = _point_params(args)
     fps = ti_fixed_points(params)
     row = {
-        "J": params.J,
-        "J1": params.J1,
-        "beta": params.beta,
+        **_fields(params),
         "theta": params.theta_exp,
         "theta1": params.theta1_exp,
-        "regime": fps.regime,
-        "u1": fps.u1,
-        "u2": fps.u2,
-        "u3": fps.u3,
+        **_fields(fps),
         "h1": fps.h1,
         "h3": fps.h3,
         "residual_u1": abs(ti_map(params, fps.u1) - fps.u1),
         "residual_u3": abs(ti_map(params, fps.u3) - fps.u3),
     }
-    if args.fmt == "json":
-        text = _json_doc("fixed-points", {"result": row})
-    else:
-        keys = list(row)
-        text = _csv(keys, [[row[k] for k in keys]])
-    _write_output(args.out, text)
-    return EXIT_OK
+    return _Result({"result": row}, [(args.out, _Table.of_record(row))])
 
 
-def cmd_phase_diagram(args: argparse.Namespace) -> int:
+def cmd_phase_diagram(args: argparse.Namespace) -> _Result:
     grids = _parse_grid_specs(args.grid)
     theta1_grid = _grid(grids, "theta1")
     theta_grid = _grid(grids, "theta")
@@ -179,65 +212,40 @@ def cmd_phase_diagram(args: argparse.Namespace) -> int:
             grid_rows.append((t1, float(t), fps.regime, fps.u1, fps.u3))
 
     pole = math.sqrt(3.0)
-    curve_points = [float(t1) for t1 in theta1_grid if t1 > pole + 1e-9]
+    curve_points = [float(t1) for t1 in theta1_grid if t1 > pole + CURVE_POLE_TOL]
     skipped = len(theta1_grid) - len(curve_points)
     if skipped:
         print(f"warning: skipped {skipped} theta1 grid points at or below the "
               f"sqrt(3) pole of the critical curve", file=sys.stderr)
-    curve_rows = [(t1, tc, j1b, jb) for t1, tc, j1b, jb in critical_curve(curve_points)]
-
-    if args.fmt == "json":
-        text = _json_doc("phase-diagram", {
-            "rows": [dict(zip(("theta1", "theta", "regime", "u1", "u3"), r)) for r in grid_rows],
-            "curve": [dict(zip(("theta1", "theta_c", "j1_beta", "j_beta"), r)) for r in curve_rows],
-        })
-        _write_output(args.out, text)
-    else:
-        _write_output(args.out, _csv(["theta1", "theta", "regime", "u1", "u3"], grid_rows))
-        curve_text = _csv(["theta1", "theta_c", "j1_beta", "j_beta"], curve_rows)
-        _write_output(curve_out, curve_text)
-    return EXIT_OK
+    grid = _Table(["theta1", "theta", "regime", "u1", "u3"], grid_rows)
+    curve = _Table(["theta1", "theta_c", "j1_beta", "j_beta"], critical_curve(curve_points))
+    return _Result({"rows": grid, "curve": curve}, [(args.out, grid), (curve_out, curve)])
 
 
-def cmd_free_energy(args: argparse.Namespace) -> int:
+def cmd_free_energy(args: argparse.Namespace) -> _Result:
     params = _point_params(args)
     rep = free_energy(params, branch=args.branch, n_max=args.n_max)
-    payload = {
-        "params": {"J": params.J, "J1": params.J1, "beta": params.beta},
-        "branch": rep.branch,
-        "u_star": rep.u_star,
-        "h_star": rep.h_star,
-        "level_rate": rep.level_rate,
-        "f_extrapolated": rep.f_extrapolated,
-        "f_const_field": rep.f_const_field,
-        "tail_gap": rep.tail_gap,
-        "converged": rep.converged,
-        "f_n": list(rep.f_n),
-        "ln_z": list(rep.ln_z),
-    }
+    payload = {"params": _fields(params), **_fields(rep)}
+    del payload["beta"]  # already under params
     if args.experimental_closed_form:
-        asym = zero_temperature_limit(params.J, params.J1, closed_forms=True)
-        payload["asymptote"] = {
-            "slope": asym.slope,
-            "limit": asym.limit,
-            "method": asym.method,
-            "stable": asym.stable,
-            "samples": [list(s) for s in asym.samples],
-            "closed_form_verbatim": asym.closed_form_verbatim,
-            "closed_form_corrected": asym.closed_form_corrected,
-        }
-    if args.fmt == "json":
-        text = _json_doc("free-energy", payload)
-    else:
-        rows = [(n, z, f) for n, (z, f) in enumerate(zip(rep.ln_z, rep.f_n), start=1)]
-        comments = [
-            f"free-energy J={_fmt(params.J)} J1={_fmt(params.J1)} beta={_fmt(params.beta)} "
-            f"branch={rep.branch}",
-            f"f_extrapolated={_fmt(rep.f_extrapolated)} f_const_field={_fmt(rep.f_const_field)}",
-        ]
-        text = _csv(["n", "ln_z", "f_n"], rows, comments)
-    _write_output(args.out, text)
-    return EXIT_OK
+        payload["asymptote"] = _fields(zero_temperature_limit(params.J, params.J1))
+    table = _Table(
+        ["n", "ln_z", "f_n"],
+        list(zip(range(1, len(rep.ln_z) + 1), rep.ln_z, rep.f_n)),
+        (f"free-energy J={_fmt(params.J)} J1={_fmt(params.J1)} beta={_fmt(params.beta)} "
+         f"branch={rep.branch}",
+         f"f_extrapolated={_fmt(rep.f_extrapolated)} f_const_field={_fmt(rep.f_const_field)}"),
+    )
+    return _Result(payload, [(args.out, table)])
+
+
+def _beta_scan(args: argparse.Namespace) -> tuple[np.ndarray, dict, str]:
+    """Beta grid, ``params`` block and CSV header line of a beta scan command."""
+    grids = _parse_grid_specs(args.grid)
+    if args.J is None or args.J1 is None:
+        raise UsageError(f"{args.command} requires --J and --J1")
+    header = f"{args.command} J={_fmt(args.J)} J1={_fmt(args.J1)} depth={args.depth}"
+    return _grid(grids, "beta"), {"J": args.J, "J1": args.J1, "depth": args.depth}, header
 
 
 def _beta_sweep_row(J: float, J1: float, beta: float, tree):
@@ -266,11 +274,8 @@ _SWEEP_COLUMNS = ["beta", "regime", "u1", "u3", "F_u3", "F_u1", "F_sym_check",
                   "root_prob", "mass_plus"]
 
 
-def cmd_beta_sweep(args: argparse.Namespace) -> int:
-    grids = _parse_grid_specs(args.grid)
-    if args.J is None or args.J1 is None:
-        raise UsageError("beta-sweep requires --J and --J1")
-    betas = _grid(grids, "beta")
+def cmd_beta_sweep(args: argparse.Namespace) -> _Result:
+    betas, params, header = _beta_scan(args)
     tree = None
     if args.depth <= exact_oracle.FULL_ENUM_DEPTH_CAP:
         tree = build_tree(args.depth, "full")
@@ -279,64 +284,24 @@ def cmd_beta_sweep(args: argparse.Namespace) -> int:
               f"mass_plus column left empty", file=sys.stderr)
 
     rows = [_beta_sweep_row(args.J, args.J1, b, tree) for b in betas]
-    if args.fmt == "json":
-        text = _json_doc("beta-sweep", {
-            "params": {"J": args.J, "J1": args.J1, "depth": args.depth},
-            "rows": [dict(zip(_SWEEP_COLUMNS, r)) for r in rows],
-        })
-    else:
-        comments = [
-            f"beta-sweep J={_fmt(args.J)} J1={_fmt(args.J1)} depth={args.depth}",
-            " ".join(_SWEEP_COLUMNS),
-        ]
-        text = _csv(_SWEEP_COLUMNS, rows, comments)
-    _write_output(args.out, text)
-    return EXIT_OK
+    table = _Table(_SWEEP_COLUMNS, rows, (header, " ".join(_SWEEP_COLUMNS)))
+    return _Result({"params": params, "rows": table}, [(args.out, table)])
 
 
-def cmd_ground_state(args: argparse.Namespace) -> int:
-    grids = _parse_grid_specs(args.grid)
-    if args.J is None or args.J1 is None:
-        raise UsageError("ground-state requires --J and --J1")
-    betas = _grid(grids, "beta")
+def cmd_ground_state(args: argparse.Namespace) -> _Result:
+    betas, params, header = _beta_scan(args)
     rows = ground_states.ground_state_scan(args.J, args.J1, betas, depth=args.depth)
-    cols = ["beta", "regime", "u1", "u3", "root_prob", "mass_plus", "mass_minus"]
-    data = [(r.beta, r.regime, r.u1, r.u3, r.root_prob, r.mass_plus, r.mass_minus)
-            for r in rows]
-    if args.fmt == "json":
-        text = _json_doc("ground-state", {
-            "params": {"J": args.J, "J1": args.J1, "depth": args.depth},
-            "rows": [dict(zip(cols, r)) for r in data],
-        })
-    else:
-        text = _csv(cols, data, [f"ground-state J={_fmt(args.J)} J1={_fmt(args.J1)} depth={args.depth}"])
-    _write_output(args.out, text)
-    return EXIT_OK
+    cols = [f.name for f in dataclasses.fields(ground_states.GroundScanRow)]
+    table = _Table(cols, [[getattr(r, c) for c in cols] for r in rows], (header,))
+    return _Result({"params": params, "rows": table}, [(args.out, table)])
 
 
-def cmd_lemma_check(args: argparse.Namespace) -> int:
+def cmd_lemma_check(args: argparse.Namespace) -> _Result:
     res = ground_states.exhaustive_lemma_check(args.depth)
-    payload = {
-        "depth": res.depth,
-        "config_count": res.config_count,
-        "config_violations": res.config_violations,
-        "config_witness": res.config_witness,
-        "max_stat_gap": res.max_stat_gap,
-        "stat_gap_bound": res.stat_gap_bound,
-        "subset_count": res.subset_count,
-        "subset_violations": res.subset_violations,
-        "subset_witness": sorted(res.subset_witness) if res.subset_witness else None,
-        "clean": res.clean,
-    }
-    if args.fmt == "json":
-        text = _json_doc("lemma-check", payload)
-    else:
-        keys = list(payload)
-        row = [payload[k] if not isinstance(payload[k], list) else
-               ";".join(str(v) for v in payload[k]) for k in keys]
-        text = _csv(keys, [row])
-    _write_output(args.out, text)
-    return EXIT_OK if res.clean else EXIT_CHECK_FAILED
+    payload = {**_fields(res), "clean": res.clean}
+    payload["subset_witness"] = sorted(res.subset_witness) if res.subset_witness else None
+    code = EXIT_OK if res.clean else EXIT_CHECK_FAILED
+    return _Result(payload, [(args.out, _Table.of_record(payload))], code)
 
 
 # ---------------------------------------------------------------------------
@@ -455,20 +420,19 @@ def run_verification(seed: int = 0, inject_failure: bool = False) -> dict:
     }
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> _Result:
     report = run_verification(seed=args.seed, inject_failure=args.inject_failure)
-    _write_output(args.out, json.dumps(_jsonify(report), indent=2, sort_keys=True) + "\n")
     if not report["all_pass"]:
         failing = [c["check_name"] for c in report["checks"] if not c["pass"]]
         print(f"verification failed: {', '.join(failing)}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+    return _Result(report, None, EXIT_OK if report["all_pass"] else EXIT_CHECK_FAILED)
 
 
 # ---------------------------------------------------------------------------
 # argument plumbing
 
 
+@functools.lru_cache(maxsize=None)  # parse_args copies list defaults, so calls share none
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cbtree",
@@ -538,10 +502,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _emit(args, _COMMANDS[args.command](args))
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

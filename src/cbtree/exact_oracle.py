@@ -290,19 +290,16 @@ def check_consistency(params: ModelParams, fields: FieldAssignment) -> float:
 
     sub = build_tree(n - 1, tree.mode)
     n_low = sub.n_vertices
-    nb = tree.level_size(n)
     low = np.arange(1 << n_low, dtype=np.int64)
 
-    # Stream over boundary configurations in fixed-size blocks, keeping a
-    # running log-sum-exp per interior configuration.
+    # Interior spins are the low n_low bits of a configuration id, so each
+    # id block (a multiple of 2**n_low long) reshapes to one row per
+    # boundary configuration; keep a running log-sum-exp per interior one.
     bf = _coerce_boundary(tree, fields)
     acc = np.full(1 << n_low, -np.inf)
-    b_step = max(1, _BLOCK >> n_low)
-    for lo in range(0, 1 << nb, b_step):
-        b = np.arange(lo, min(lo + b_step, 1 << nb), dtype=np.int64)
-        cfg = (b[:, None] << n_low) | low[None, :]
-        w = log_weights(tree, params, bf, cfg.ravel()).reshape(cfg.shape)
-        acc = np.logaddexp(acc, np.logaddexp.reduce(w, axis=0))
+    for lo, hi in _blocks(1 << tree.n_vertices):
+        w = log_weights(tree, params, bf, np.arange(lo, hi, dtype=np.int64))
+        acc = np.logaddexp(acc, np.logaddexp.reduce(w.reshape(-1, 1 << n_low), axis=0))
     marginal = np.exp(acc - _lse(acc))
 
     w_prev = log_weights(sub, params, fields.level_values(n - 1), low)

@@ -3,8 +3,14 @@
 Summing out the two children of a vertex produces an effective boundary
 field at the parent; a per-vertex field family is compatible with a single
 Gibbs measure exactly when every parent's field is the two-child image of
-its children's fields.  All arithmetic runs on log-fields h (u = exp(2h)),
-so large couplings never overflow.
+its children's fields.  ``child_to_parent`` and ``propagate_inward`` run
+on log-fields h (u = exp(2h)) and exponentiate only after shifting by the
+largest term.  The constant solutions are still solved through
+theta = exp(2*beta*J) and theta1 = exp(2*beta*J1), so ``ti_fixed_points``
+raises once that arithmetic leaves the float range: OverflowError when
+theta, theta1, or theta1**2 and theta1/theta together overflow,
+ZeroDivisionError when theta underflows to 0, and ValueError when
+u1 = 1/u3 underflows to 0.  ``phase_predicate`` raises on the first two.
 
 Constant fields u reduce the recursion to a scalar map whose fixed points
 are u = 1 together with the roots of u**2 + (1 + alpha)u + 1 = 0 with
@@ -31,7 +37,7 @@ DEGENERACY_TOL = 1e-12
 # scalar map to this relative accuracy.
 RESIDUAL_TOL = 1e-10
 
-_CURVE_POLE_TOL = 1e-9
+CURVE_POLE_TOL = 1e-9
 
 REGIME_UNIQUE = "unique"
 REGIME_DEGENERATE = "degenerate"
@@ -198,10 +204,14 @@ def _classify(params: ModelParams) -> tuple[str, float]:
     The discriminant (t - 2)(t + 2) decides the regime: within
     DEGENERACY_TOL of zero the twin roots are reported as degenerate,
     otherwise three solutions exist exactly when t > 2.  That form stays
-    finite even when t*t would overflow.
+    finite even when t*t would overflow.  When theta1**2 and theta1/theta
+    both overflow, t is inf - inf and no regime can be read off; that raises
+    OverflowError rather than tagging the point.
     """
     theta1 = params.theta1_exp
     t = theta1 * theta1 - 2.0 * theta1 / params.theta_exp - 1.0
+    if math.isnan(t):
+        raise OverflowError("theta1**2 and theta1/theta both overflow a float")
     if t > 0.0 and abs((t - 2.0) * (t + 2.0)) <= DEGENERACY_TOL:
         return REGIME_DEGENERATE, t
     return (REGIME_THREE if t > 2.0 else REGIME_UNIQUE), t
@@ -251,8 +261,8 @@ def critical_curve(theta1_grid) -> list[tuple[float, float, float, float]]:
     pole = math.sqrt(3.0)
     for t1 in theta1_grid:
         t1 = float(t1)
-        if t1 <= pole + _CURVE_POLE_TOL:
-            raise ValueError(f"theta1={t1!r} is within {_CURVE_POLE_TOL} of the sqrt(3) pole")
+        if t1 <= pole + CURVE_POLE_TOL:
+            raise ValueError(f"theta1={t1!r} is within {CURVE_POLE_TOL} of the sqrt(3) pole")
         tc = 2.0 * t1 / (t1 * t1 - 3.0)
         rows.append((t1, tc, 0.5 * math.log(t1), 0.5 * math.log(tc)))
     return rows

@@ -154,8 +154,7 @@ class FreeEnergyReport:
     h_star: float
     beta: float
     level_rate: float
-    per_level: tuple[tuple[int, int, float], ...]  # (level, vertex count, contribution)
-    ln_z: tuple[float, ...]                        # n = 1 .. n_max
+    ln_z: tuple[float, ...]  # n = 1 .. n_max
     f_n: tuple[float, ...]
     f_extrapolated: float
     f_const_field: float
@@ -178,16 +177,12 @@ def free_energy(params: ModelParams, branch: str = "u3", n_max: int = 30) -> Fre
     f_extrapolated = 2.0 * f_n[-1] - f_n[-2]
     tail_gap = abs(f_n[-1] - f_n[-2])
     converged = tail_gap <= 1e-9 * max(1.0, abs(f_extrapolated))
-    per_level = tuple(
-        (m, 3 * 2 ** (m - 1), 3 * 2 ** (m - 1) * rate) for m in range(1, n_max)
-    )
     return FreeEnergyReport(
         branch=branch,
         u_star=u,
         h_star=h,
         beta=params.beta,
         level_rate=rate,
-        per_level=per_level,
         ln_z=tuple(ln_z),
         f_n=tuple(f_n),
         f_extrapolated=f_extrapolated,
@@ -222,8 +217,8 @@ class AsymptoteResult:
     method: str
     stable: bool
     samples: tuple[tuple[float, float], ...]
-    closed_form_verbatim: float | None = None
-    closed_form_corrected: float | None = None
+    closed_form_verbatim: float
+    closed_form_corrected: float
 
 
 def _closed_form_limit(J: float, J1: float, slope: float, corrected: bool) -> float:
@@ -248,14 +243,13 @@ def zero_temperature_limit(
     J: float,
     J1: float,
     beta_samples=(10.0, 20.0, 50.0),
-    closed_forms: bool = False,
 ) -> AsymptoteResult:
     """Numeric beta -> infinity limit of the upper-branch free energy.
 
     Requires J1 > 0 and J + J1 > 0 (where the upper branch persists).  The
     limit is taken as the value at the largest beta sample, flagged stable
-    when the two largest samples agree to 1e-3.  Experimental closed forms
-    are attached only on request.
+    when the two largest samples agree to 1e-3.  The experimental closed
+    forms are attached for comparison; they never replace the limit.
     """
     if not (J1 > 0.0 and J + J1 > 0.0):
         raise ValueError("requires J1 > 0 and J + J1 > 0")
@@ -271,16 +265,12 @@ def zero_temperature_limit(
     limit = samples[-1][1]
     stable = abs(samples[-1][1] - samples[-2][1]) < 1e-3
     slope = asymptotic_field_slope(J, J1)
-    verbatim = corrected = None
-    if closed_forms:
-        verbatim = _closed_form_limit(J, J1, slope, corrected=False)
-        corrected = _closed_form_limit(J, J1, slope, corrected=True)
     return AsymptoteResult(
         slope=slope,
         limit=limit,
         method="numeric_limit",
         stable=stable,
         samples=tuple(samples),
-        closed_form_verbatim=verbatim,
-        closed_form_corrected=corrected,
+        closed_form_verbatim=_closed_form_limit(J, J1, slope, corrected=False),
+        closed_form_corrected=_closed_form_limit(J, J1, slope, corrected=True),
     )

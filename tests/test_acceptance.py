@@ -109,8 +109,15 @@ def test_c3_central_identity():
         rate = level_log_factor(params, hy, hz)
         w_up, w_dn = pair_log_weights(params, hy, hz)
         worst_identity = max(worst_identity, abs(math.exp(rate - 0.5 * (w_up + w_dn)) - 1.0))
+        # The parent field against the direct four-term sums over the child
+        # spins, conditioned on the parent spin.
+        up, dn = (
+            sum(math.exp(bj1 * s * (sy + sz) + bj * sy * sz + hy * sy + hz * sz)
+                for sy in (1, -1) for sz in (1, -1))
+            for s in (1, -1)
+        )
         worst_match = max(
-            worst_match, abs(0.5 * (w_up - w_dn) - child_to_parent(params, hy, hz))
+            worst_match, abs(0.5 * math.log(up / dn) - child_to_parent(params, hy, hz))
         )
     elapsed = time.perf_counter() - start
     ok = worst_identity < 1e-10 and worst_match < 1e-12 and elapsed < 1.0

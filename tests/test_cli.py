@@ -86,6 +86,14 @@ class TestPhaseDiagramCommand:
     def test_missing_axis_rejected(self):
         assert main(["phase-diagram", "--grid", "theta1=2:3:2"]) == 2
 
+    def test_successive_calls_share_no_grids(self, capsys):
+        # The parser is built once per process; a --grid list from one call
+        # must not leak into the defaults of the next.
+        assert main(["phase-diagram", "--grid", "theta1=2:3:2", "--grid", "theta=1:6:3"]) == 0
+        capsys.readouterr()
+        assert main(["phase-diagram", "--grid", "theta1=2:3:2"]) == 2
+        assert "missing --grid theta=" in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     def test_passes_with_default_seed(self, tmp_path):

@@ -178,6 +178,18 @@ class TestTIFixedPoints:
         assert math.isfinite(fps.h3)
         assert abs(fps.u1 * fps.u3 - 1.0) < 1e-12
 
+    def test_overflowing_root_sum_is_rejected(self):
+        # theta1**2 and theta1/theta both overflow, so the root sum is
+        # inf - inf; the point lies in the three-solution regime and must
+        # not be tagged "unique".
+        params = ModelParams(J=-5.987614609324681, J1=9.855434901080743,
+                             beta=23.05895366359976)
+        assert math.isfinite(params.theta1_exp) and params.theta_exp > 0.0
+        with pytest.raises(OverflowError):
+            ti_fixed_points(params)
+        with pytest.raises(OverflowError):
+            phase_predicate(params)
+
 
 class TestPhasePredicate:
     def test_examples(self):

@@ -28,6 +28,8 @@ CASES = {
     "fixed_points_degenerate": ["fixed-points", "--theta", "4", "--theta1", "2"],
     "fixed_points_overflow": ["fixed-points", "--J", "10", "--J1", "10", "--beta", "50"],
     "fixed_points_mixed": ["fixed-points", "--J", "1", "--theta", "5"],
+    "fixed_points_nan_root_sum": ["fixed-points", "--J", "-5.987614609324681",
+                                  "--J1", "9.855434901080743", "--beta", "23.05895366359976"],
     "phase_diagram_out": ["phase-diagram", "--grid", "theta1=1.2:4:6",
                           "--grid", "theta=0.5:8:5", "--out", "{out}"],
     "phase_diagram_stdout": ["phase-diagram", "--grid", "theta1=2:3:2",
