@@ -8,7 +8,6 @@ scans -- every closed form cross-validated against the brute-force oracle.
 """
 
 from .exact_oracle import (
-    BoundaryField,
     check_consistency,
     log_partition,
     log_weights,
@@ -18,12 +17,9 @@ from .exact_oracle import (
 )
 from .field_recursion import (
     FieldAssignment,
-    IterationResult,
     TIFixedPoints,
     child_to_parent,
     critical_curve,
-    interval_check,
-    iterate_ti_map,
     phase_predicate,
     propagate_inward,
     ti_fixed_points,

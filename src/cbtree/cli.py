@@ -255,8 +255,7 @@ def _beta_sweep_row(J: float, J1: float, beta: float, tree):
     rep1 = free_energy(params, "u1")
     mass_plus = None
     if tree is not None and fps.regime == REGIME_THREE:
-        bf = exact_oracle.BoundaryField.constant(tree, fps.h3)
-        mass_plus = exact_oracle.plus_minus_mass(tree, params, bf)[0]
+        mass_plus = exact_oracle.plus_minus_mass(tree, params, fps.h3)[0]
     return (
         float(beta),
         fps.regime,
@@ -490,21 +489,38 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {
-    "fixed-points": cmd_fixed_points,
-    "phase-diagram": cmd_phase_diagram,
-    "free-energy": cmd_free_energy,
-    "beta-sweep": cmd_beta_sweep,
-    "ground-state": cmd_ground_state,
-    "lemma-check": cmd_lemma_check,
-    "verify": cmd_verify,
-}
+# argparse reads "-1e-3" as an option, not a value, since its negative-number
+# pattern has no exponent; these options take the next token as their value
+# when it parses as a float.
+_NUMERIC_OPTIONS = ("--J", "--J1", "--beta", "--theta", "--theta1")
+
+
+def _is_float(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_numeric_values(argv: list[str]) -> list[str]:
+    """Spell ``--J -1e-3`` as ``--J=-1e-3`` for the numeric options."""
+    out = []
+    for token in argv:
+        if out and out[-1] in _NUMERIC_OPTIONS and _is_float(token):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser().parse_args(_join_numeric_values(argv))
+    # Looked up at call time, so a rebinding of a cmd_* attribute is used.
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return _emit(args, _COMMANDS[args.command](args))
+        return _emit(args, command(args))
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

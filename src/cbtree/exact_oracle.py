@@ -9,7 +9,9 @@ The finite-volume Gibbs weight of a configuration s is
 
     exp( -beta * H(s) + sum over boundary vertices of h_x * s_x )
 
-with the boundary field h living on the outermost level only.  All
+with the boundary field h living on the outermost level only.  A field
+argument h is a scalar, a sequence over the boundary in id order or a
+``FieldAssignment`` on the same tree (its outermost level).  All
 probability work happens in log space; log weights are combined by a block
 log-sum-exp with fixed block boundaries, so results are independent of the
 worker-thread count.  These block passes are the only work in the package
@@ -32,7 +34,6 @@ independent reference.
 
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
@@ -40,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import model
-from .field_recursion import FieldAssignment, _lse
+from .field_recursion import FieldAssignment, _boundary_array, _lse
 from .model import ModelParams, SpinConfig
 from .parallel import parallel_map
 from .topology import TreeIndex, build_tree, edge_pairs, sibling_pairs
@@ -49,56 +50,6 @@ FULL_ENUM_DEPTH_CAP = 3
 HALF_ENUM_DEPTH_CAP = 4
 
 _BLOCK = 1 << 20  # fixed chunking; never tied to the thread count
-
-
-@dataclass(frozen=True)
-class BoundaryField:
-    """Field values on the outermost level, in id order."""
-
-    tree: TreeIndex
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.values) != self.tree.level_size(self.tree.depth):
-            raise ValueError("one value per boundary vertex required")
-        if not all(math.isfinite(v) for v in self.values):
-            raise ValueError("boundary field values must be finite")
-
-    @classmethod
-    def constant(cls, tree: TreeIndex, h: float) -> "BoundaryField":
-        return cls(tree, (float(h),) * tree.level_size(tree.depth))
-
-    @classmethod
-    def zero(cls, tree: TreeIndex) -> "BoundaryField":
-        return cls.constant(tree, 0.0)
-
-    @classmethod
-    def from_assignment(cls, fields: FieldAssignment) -> "BoundaryField":
-        return cls(fields.tree, tuple(float(v) for v in fields.boundary_values()))
-
-    @property
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=np.float64)
-
-    @property
-    def constant_value(self) -> float | None:
-        """The common value if the field is constant, else None."""
-        first = self.values[0]
-        return first if all(v == first for v in self.values) else None
-
-
-def _coerce_boundary(tree: TreeIndex, h) -> BoundaryField:
-    if isinstance(h, BoundaryField):
-        if h.tree != tree:
-            raise ValueError("boundary field belongs to a different tree")
-        return h
-    if isinstance(h, FieldAssignment):
-        if h.tree != tree:
-            raise ValueError("field assignment belongs to a different tree")
-        return BoundaryField.from_assignment(h)
-    if np.ndim(h) == 0:
-        return BoundaryField.constant(tree, float(h))
-    return BoundaryField(tree, tuple(float(v) for v in h))
 
 
 def _check_enum_cap(tree: TreeIndex) -> None:
@@ -111,11 +62,10 @@ def _check_enum_cap(tree: TreeIndex) -> None:
 
 def log_weights(tree: TreeIndex, params: ModelParams, h, configs) -> np.ndarray:
     """Unnormalized log weight of each bit-packed configuration."""
-    bf = _coerce_boundary(tree, h)
     a, b, _ = model.sufficient_stats_batch(tree, configs)
     w = params.beta * params.J * a + params.beta * params.J1 * b
     cfg = np.asarray(configs, dtype=np.int64)
-    for x, hx in zip(tree.boundary, bf.values):
+    for x, hx in zip(tree.boundary, _boundary_array(tree, h).tolist()):
         if hx != 0.0:
             w = w + hx * (2.0 * ((cfg >> x) & 1) - 1.0)
     return w
@@ -205,13 +155,13 @@ def count_table(tree: TreeIndex) -> CountTable:
         return _build_count_table(tree)
 
 
-def _log_partition_enumerated(tree: TreeIndex, params: ModelParams, bf: BoundaryField) -> float:
+def _log_partition_enumerated(tree: TreeIndex, params: ModelParams, hb: np.ndarray) -> float:
     _check_enum_cap(tree)
     total = 1 << tree.n_vertices
 
     def one_block(rng):
         lo, hi = rng
-        return _lse(log_weights(tree, params, bf, np.arange(lo, hi, dtype=np.int64)))
+        return _lse(log_weights(tree, params, hb, np.arange(lo, hi, dtype=np.int64)))
 
     partials = parallel_map(one_block, _blocks(total))
     return _lse(partials)
@@ -223,11 +173,10 @@ def log_partition(tree: TreeIndex, params: ModelParams, h) -> float:
     A constant boundary field is served from ``count_table``; any other by
     a streamed block log-sum-exp over the configurations.
     """
-    bf = _coerce_boundary(tree, h)
-    hc = bf.constant_value
-    if hc is not None:
-        return count_table(tree).log_partition(params, hc)
-    return _log_partition_enumerated(tree, params, bf)
+    hb = _boundary_array(tree, h)
+    if np.all(hb == hb[0]):
+        return count_table(tree).log_partition(params, float(hb[0]))
+    return _log_partition_enumerated(tree, params, hb)
 
 
 def first_config(tree: TreeIndex, predicate) -> int | None:
@@ -249,9 +198,9 @@ def measure_prob(tree: TreeIndex, params: ModelParams, h, config: SpinConfig) ->
     """Probability of one configuration under the finite-volume measure."""
     if config.tree != tree:
         raise ValueError("configuration belongs to a different tree")
-    bf = _coerce_boundary(tree, h)
-    w = log_weights(tree, params, bf, np.array([config.bits], dtype=np.int64))
-    return float(np.exp(w[0] - _log_partition_enumerated(tree, params, bf)))
+    hb = _boundary_array(tree, h)
+    w = log_weights(tree, params, hb, np.array([config.bits], dtype=np.int64))
+    return float(np.exp(w[0] - _log_partition_enumerated(tree, params, hb)))
 
 
 def marginal_prob(tree: TreeIndex, params: ModelParams, h, partial: SpinConfig) -> float:
@@ -267,9 +216,9 @@ def marginal_prob(tree: TreeIndex, params: ModelParams, h, partial: SpinConfig) 
     n_low = partial.tree.n_vertices
     nb = tree.level_size(tree.depth)
     completions = (np.arange(1 << nb, dtype=np.int64) << n_low) | partial.bits
-    bf = _coerce_boundary(tree, h)
-    w = log_weights(tree, params, bf, completions)
-    return float(np.exp(_lse(w) - _log_partition_enumerated(tree, params, bf)))
+    hb = _boundary_array(tree, h)
+    w = log_weights(tree, params, hb, completions)
+    return float(np.exp(_lse(w) - _log_partition_enumerated(tree, params, hb)))
 
 
 def check_consistency(params: ModelParams, fields: FieldAssignment) -> float:
@@ -295,10 +244,10 @@ def check_consistency(params: ModelParams, fields: FieldAssignment) -> float:
     # Interior spins are the low n_low bits of a configuration id, so each
     # id block (a multiple of 2**n_low long) reshapes to one row per
     # boundary configuration; keep a running log-sum-exp per interior one.
-    bf = _coerce_boundary(tree, fields)
+    hb = fields.boundary_values()
     acc = np.full(1 << n_low, -np.inf)
     for lo, hi in _blocks(1 << tree.n_vertices):
-        w = log_weights(tree, params, bf, np.arange(lo, hi, dtype=np.int64))
+        w = log_weights(tree, params, hb, np.arange(lo, hi, dtype=np.int64))
         acc = np.logaddexp(acc, np.logaddexp.reduce(w.reshape(-1, 1 << n_low), axis=0))
     marginal = np.exp(acc - _lse(acc))
 
@@ -310,14 +259,14 @@ def check_consistency(params: ModelParams, fields: FieldAssignment) -> float:
 def plus_minus_mass(tree: TreeIndex, params: ModelParams, h) -> tuple[float, float]:
     """Probabilities of the all-plus and all-minus configurations."""
     _check_enum_cap(tree)
-    bf = _coerce_boundary(tree, h)
-    hc = bf.constant_value
-    if hc is not None:
+    hb = _boundary_array(tree, h)
+    hc = float(hb[0])
+    if np.all(hb == hc):
         table = count_table(tree)
         w = table.log_weights(params, hc)
         ln_z = table.log_partition(params, hc)
         return float(np.exp(w[PLUS_BIN] - ln_z)), float(np.exp(w[MINUS_BIN] - ln_z))
-    ln_z = _log_partition_enumerated(tree, params, bf)
+    ln_z = _log_partition_enumerated(tree, params, hb)
     extremes = np.array([(1 << tree.n_vertices) - 1, 0], dtype=np.int64)
-    w = log_weights(tree, params, bf, extremes)
+    w = log_weights(tree, params, hb, extremes)
     return float(np.exp(w[0] - ln_z)), float(np.exp(w[1] - ln_z))

@@ -3,14 +3,17 @@
 Summing out the two children of a vertex produces an effective boundary
 field at the parent; a per-vertex field family is compatible with a single
 Gibbs measure exactly when every parent's field is the two-child image of
-its children's fields.  ``child_to_parent`` and ``propagate_inward`` run
-on log-fields h (u = exp(2h)) and exponentiate only after shifting by the
-largest term.  The constant solutions are still solved through
+its children's fields.  A field is a log-field h (u = exp(2h)): a scalar,
+a float64 array over the boundary in id order, or a ``FieldAssignment``
+with one read-only float64 array over every vertex.  ``child_to_parent``
+and ``propagate_inward`` run on h and exponentiate only after shifting by
+the largest term.  The constant solutions are still solved through
 theta = exp(2*beta*J) and theta1 = exp(2*beta*J1), so ``ti_fixed_points``
-raises once that arithmetic leaves the float range: OverflowError when
-theta, theta1, or theta1**2 and theta1/theta together overflow,
-ZeroDivisionError when theta underflows to 0, and ValueError when
-u1 = 1/u3 underflows to 0.  ``phase_predicate`` raises on the first two.
+raises once that arithmetic leaves the float range: ZeroDivisionError when
+theta underflows to 0, and OverflowError when theta or theta1 overflows or
+the root sum is +inf (theta1**2 overflows) or inf - inf (theta1**2 and
+theta1/theta both do).  ``phase_predicate`` returns True at a root sum
+of +inf and raises on the rest.
 
 Constant fields u reduce the recursion to a scalar map whose fixed points
 are u = 1 together with the roots of u**2 + (1 + alpha)u + 1 = 0 with
@@ -44,34 +47,29 @@ REGIME_DEGENERATE = "degenerate"
 REGIME_THREE = "three"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FieldAssignment:
-    """Log-field h per vertex; u = exp(2h) is the multiplicative form.
+    """Log-field h per vertex, kept as a read-only float64 copy in id order.
 
     ``root_rule`` records how a degree-3 root was filled in (the two-child
     formula applied to its first two children by id); None on half trees.
     """
 
     tree: TreeIndex
-    h: tuple[float, ...]
+    h: np.ndarray
     root_rule: str | None = None
 
     def __post_init__(self):
-        if len(self.h) != self.tree.n_vertices:
+        h = np.array(self.h, dtype=np.float64)
+        if h.shape != (self.tree.n_vertices,):
             raise ValueError("one field value per vertex required")
-        if not all(math.isfinite(v) for v in self.h):
+        if not np.all(np.isfinite(h)):
             raise ValueError("field values must be finite")
-
-    @property
-    def h_array(self) -> np.ndarray:
-        return np.asarray(self.h, dtype=np.float64)
-
-    @property
-    def u_array(self) -> np.ndarray:
-        return np.exp(2.0 * self.h_array)
+        h.flags.writeable = False
+        object.__setattr__(self, "h", h)
 
     def level_values(self, m: int) -> np.ndarray:
-        return self.h_array[list(self.tree.vertices_at(m))]
+        return self.h[list(self.tree.vertices_at(m))]
 
     def boundary_values(self) -> np.ndarray:
         return self.level_values(self.tree.depth)
@@ -99,13 +97,6 @@ class TIFixedPoints:
             return {"u1": self.u1, "u2": self.u2, "u3": self.u3}[name]
         except KeyError:
             raise ValueError(f"branch must be u1, u2 or u3, got {name!r}") from None
-
-
-@dataclass(frozen=True)
-class IterationResult:
-    u: float
-    iterations: int
-    converged: bool
 
 
 def _lse4(a: float, b: float, c: float, d: float) -> float:
@@ -169,33 +160,42 @@ def ti_map(params: ModelParams, u: float) -> float:
     return math.exp(2.0 * child_to_parent(params, h, h))
 
 
+def _boundary_array(tree: TreeIndex, h) -> np.ndarray:
+    """A boundary field as a float64 array over the outermost level, in id order.
+
+    ``h`` is a scalar, a boundary-length sequence, or a ``FieldAssignment``
+    on ``tree`` (its outermost level is taken).
+    """
+    if isinstance(h, FieldAssignment):
+        if h.tree != tree:
+            raise ValueError("field assignment belongs to a different tree")
+        return h.boundary_values()
+    nb = tree.level_size(tree.depth)
+    values = np.full(nb, float(h)) if np.ndim(h) == 0 else np.asarray(h, dtype=np.float64)
+    if values.shape != (nb,):
+        raise ValueError(f"one value per boundary vertex required, got shape {values.shape}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("boundary field values must be finite")
+    return values
+
+
 def propagate_inward(tree: TreeIndex, params: ModelParams, boundary) -> FieldAssignment:
     """Fill fields on every vertex from values on the outermost level.
 
-    ``boundary`` is a scalar or a sequence over the boundary in id order.
-    Interior values satisfy the two-child recursion; a degree-3 root gets
-    the two-child formula applied to its first two children by id, recorded
-    in ``root_rule``.
+    ``boundary`` is a scalar, a sequence over the boundary in id order, or a
+    ``FieldAssignment`` on ``tree``.  Interior values satisfy the two-child
+    recursion; a degree-3 root gets the two-child formula applied to its
+    first two children by id, recorded in ``root_rule``.
     """
-    nb = tree.level_size(tree.depth)
-    if np.ndim(boundary) == 0:
-        bvals = np.full(nb, float(boundary))
-    else:
-        bvals = np.asarray(boundary, dtype=np.float64)
-        if bvals.shape != (nb,):
-            raise ValueError(f"expected {nb} boundary values, got shape {bvals.shape}")
-    if not np.all(np.isfinite(bvals)):
-        raise ValueError("boundary values must be finite")
-
     h = np.zeros(tree.n_vertices)
-    h[list(tree.boundary)] = bvals
+    h[list(tree.boundary)] = _boundary_array(tree, boundary)
     for m in range(tree.depth - 1, -1, -1):
         xs = list(tree.vertices_at(m))
         first = np.array([tree.children[x][0] for x in xs])
         second = np.array([tree.children[x][1] for x in xs])
         h[xs] = child_to_parent(params, h[first], h[second])
     root_rule = "first_child_pair" if tree.mode == "full" and tree.depth >= 1 else None
-    return FieldAssignment(tree=tree, h=tuple(float(v) for v in h), root_rule=root_rule)
+    return FieldAssignment(tree=tree, h=h, root_rule=root_rule)
 
 
 def _classify(params: ModelParams) -> tuple[str, float]:
@@ -223,12 +223,15 @@ def ti_fixed_points(params: ModelParams) -> TIFixedPoints:
     u = 1 always solves the scalar map; the remaining candidates are the
     roots of u**2 + (1 + alpha)u + 1 = 0.  The larger root is computed from
     the non-cancelling quadratic branch and the smaller as its reciprocal
-    (the product of the two roots is exactly 1).
+    (the product of the two roots is exactly 1).  A root sum of +inf
+    (theta1**2 overflows) leaves u3 infinite and raises OverflowError.
     """
     regime, t = _classify(params)
     if regime == REGIME_THREE:
         # Stays finite even when t*t would overflow.
         u3 = 0.5 * t * (1.0 + math.sqrt(1.0 - 4.0 / (t * t)))
+        if math.isinf(u3):
+            raise OverflowError("theta1**2 overflows a float, so u3 is infinite")
         fps = TIFixedPoints(REGIME_THREE, 1.0 / u3, 1.0, u3)
     else:
         fps = TIFixedPoints(regime, 1.0, 1.0, 1.0)
@@ -266,50 +269,3 @@ def critical_curve(theta1_grid) -> list[tuple[float, float, float, float]]:
         tc = 2.0 * t1 / (t1 * t1 - 3.0)
         rows.append((t1, tc, 0.5 * math.log(t1), 0.5 * math.log(tc)))
     return rows
-
-
-def interval_check(params: ModelParams, grid_size: int = 64, slack: float = 1e-12) -> bool:
-    """Check that the two-child map sends [u1, u3]^2 into [u1, u3].
-
-    Only meaningful in the three-solution regime; other regimes are
-    rejected.  The map is evaluated in log space on a grid_size x grid_size
-    grid of child values.
-    """
-    fps = ti_fixed_points(params)
-    if fps.regime != REGIME_THREE:
-        raise ValueError(f"interval_check requires the three-solution regime, got {fps.regime}")
-    hs = 0.5 * np.log(np.linspace(fps.u1, fps.u3, grid_size))
-    hy, hz = np.meshgrid(hs, hs)
-    u_out = np.exp(2.0 * child_to_parent(params, hy, hz))
-    return bool(np.all((u_out >= fps.u1 - slack) & (u_out <= fps.u3 + slack)))
-
-
-def iterate_ti_map(
-    params: ModelParams, u0: float, tol: float = 1e-12, max_iter: int = 20000
-) -> IterationResult:
-    """Fixed-point iteration of the constant-field map, in log space.
-
-    Stops when the Aitken-estimated distance to the limit drops below
-    ``tol``; non-convergence within ``max_iter`` is reported, not raised.
-    Attractivity of the asymmetric fixed points is an observed numerical
-    fact, not a proved one, so treat ``converged`` as a measurement.
-    """
-    if u0 <= 0.0:
-        raise ValueError("u0 must be positive")
-    h = 0.5 * math.log(u0)
-    u = u0
-    prev_step = None
-    for k in range(1, max_iter + 1):
-        h_next = child_to_parent(params, h, h)
-        u_next = math.exp(2.0 * h_next)
-        step = abs(u_next - u)
-        if step == 0.0:
-            return IterationResult(u=u_next, iterations=k, converged=True)
-        if prev_step is not None and prev_step > 0.0 and step < prev_step:
-            ratio = step / prev_step
-            est = step * ratio / (1.0 - ratio)
-            if est < tol and step < tol:
-                return IterationResult(u=u_next, iterations=k, converged=True)
-        prev_step = step
-        h, u = h_next, u_next
-    return IterationResult(u=u, iterations=max_iter, converged=False)

@@ -127,7 +127,7 @@ def log_partition_recursive(params: ModelParams, fields: FieldAssignment, depth:
     n = tree.depth if depth is None else depth
     if not 1 <= n <= tree.depth:
         raise ValueError(f"depth must be in [1, {tree.depth}], got {n}")
-    h = fields.h_array
+    h = fields.h
     ln_z = _ln_z1(params, tree.mode, h[list(tree.vertices_at(1))])
     for m in range(1, n):
         xs = list(tree.vertices_at(m))

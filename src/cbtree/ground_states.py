@@ -79,10 +79,8 @@ def ground_state_scan(J: float, J1: float, beta_grid, depth: int = 2) -> list[Gr
         fps = ti_fixed_points(params)
         mass_plus = mass_minus = None
         if fps.regime == REGIME_THREE:
-            bf3 = exact_oracle.BoundaryField.constant(tree, fps.h3)
-            bf1 = exact_oracle.BoundaryField.constant(tree, fps.h1)
-            mass_plus = exact_oracle.plus_minus_mass(tree, params, bf3)[0]
-            mass_minus = exact_oracle.plus_minus_mass(tree, params, bf1)[1]
+            mass_plus = exact_oracle.plus_minus_mass(tree, params, fps.h3)[0]
+            mass_minus = exact_oracle.plus_minus_mass(tree, params, fps.h1)[1]
         return GroundScanRow(
             beta=float(beta),
             regime=fps.regime,

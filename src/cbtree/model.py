@@ -66,11 +66,6 @@ class ModelParams:
         """exp(2*beta*J1), the edge-coupling weight ratio."""
         return math.exp(2.0 * self.beta * self.J1)
 
-    @property
-    def theta_tanh(self) -> float:
-        """tanh(beta*J), the effective-field transmission factor."""
-        return math.tanh(self.beta * self.J)
-
 
 @dataclass(frozen=True)
 class SpinConfig:

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from cbtree import exact_oracle
+from cbtree import cli, exact_oracle
 from cbtree.cli import main, run_verification
 
 TWO_FIVE_ARGS = ["--theta", "5", "--theta1", "2"]
@@ -49,6 +49,39 @@ class TestFixedPointsCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: OverflowError")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--J", "--J1", "--beta", "--theta", "--theta1"])
+    def test_negative_e_notation_value(self, flag, capsys):
+        values = {"--J": "1", "--J1": "1", "--beta": "2"}
+        if flag in ("--theta", "--theta1"):
+            values = {"--theta": "5", "--theta1": "2"}
+        values[flag] = "-1e-3"
+        spaced = [t for kv in values.items() for t in kv]
+        joined = [f"{k}={v}" for k, v in values.items()]
+        code = main(["fixed-points", *spaced])
+        spaced_out = capsys.readouterr()
+        assert code == main(["fixed-points", *joined])
+        assert spaced_out == capsys.readouterr()
+        assert "expected one argument" not in spaced_out.err
+
+    def test_missing_value_keeps_argparse_message(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fixed-points", "--J", "--J1", "1", "--beta", "1"])
+        assert exc.value.code == 2
+        assert "argument --J: expected one argument" in capsys.readouterr().err
+
+
+def test_main_dispatches_through_module_attribute(monkeypatch, capsys):
+    calls = []
+
+    def fake(args):
+        calls.append(args.command)
+        return cli._Result({"result": {}}, [(None, cli._Table(["x"], [[1.5]]))])
+
+    monkeypatch.setattr(cli, "cmd_fixed_points", fake)
+    assert main(["fixed-points", *TWO_FIVE_ARGS]) == 0
+    assert calls == ["fixed-points"]
+    assert capsys.readouterr().out == "x\n1.5\n"
 
 
 class TestPhaseDiagramCommand:

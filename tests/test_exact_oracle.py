@@ -12,7 +12,6 @@ from cbtree import exact_oracle
 from cbtree.exact_oracle import (
     MINUS_BIN,
     PLUS_BIN,
-    BoundaryField,
     check_consistency,
     count_table,
     log_partition,
@@ -30,18 +29,27 @@ TWO_FIVE = ModelParams.from_thetas(5.0, 2.0)  # three-solution regime
 
 
 class TestBoundaryField:
+    """The boundary-field argument ``h`` of the oracle functions."""
+
     def test_validation(self):
         tree = build_tree(1, "full")
-        with pytest.raises(ValueError):
-            BoundaryField(tree, (0.0, 0.0))  # wrong length
-        with pytest.raises(ValueError):
-            BoundaryField(tree, (0.0, math.inf, 0.0))
+        with pytest.raises(ValueError, match="one value per boundary vertex"):
+            log_partition(tree, FREE, (0.0, 0.0))
+        with pytest.raises(ValueError, match="finite"):
+            log_partition(tree, FREE, (0.0, math.inf, 0.0))
+        with pytest.raises(ValueError, match="finite"):
+            log_partition(tree, FREE, math.nan)
+        other = propagate_inward(build_tree(1, "half"), FREE, 0.0)
+        with pytest.raises(ValueError, match="different tree"):
+            log_partition(tree, FREE, other)
 
     def test_from_assignment_restricts_to_boundary(self):
         tree = build_tree(2, "full")
         fields = propagate_inward(tree, TWO_FIVE, np.linspace(-0.3, 0.3, 6))
-        bf = BoundaryField.from_assignment(fields)
-        assert np.allclose(bf.as_array, fields.boundary_values())
+        boundary = list(fields.boundary_values())
+        assert log_partition(tree, TWO_FIVE, fields) == log_partition(tree, TWO_FIVE, boundary)
+        assert plus_minus_mass(tree, TWO_FIVE, fields) == plus_minus_mass(
+            tree, TWO_FIVE, boundary)
 
 
 class TestLogPartition:
@@ -200,15 +208,15 @@ class TestPlusMinusMass:
         tree = build_tree(2, "full")
         params = ModelParams(J=1.0, J1=1.0, beta=10.0)
         fps = ti_fixed_points(params)
-        mass_plus, _ = plus_minus_mass(tree, params, BoundaryField.constant(tree, fps.h3))
+        mass_plus, _ = plus_minus_mass(tree, params, fps.h3)
         assert mass_plus >= 0.99
 
     def test_mirror_branch(self):
         tree = build_tree(2, "full")
         params = ModelParams(J=1.0, J1=1.0, beta=10.0)
         fps = ti_fixed_points(params)
-        plus_under_h3, _ = plus_minus_mass(tree, params, BoundaryField.constant(tree, fps.h3))
-        _, minus_under_h1 = plus_minus_mass(tree, params, BoundaryField.constant(tree, fps.h1))
+        plus_under_h3, _ = plus_minus_mass(tree, params, fps.h3)
+        _, minus_under_h1 = plus_minus_mass(tree, params, fps.h1)
         assert minus_under_h1 == pytest.approx(plus_under_h3, rel=1e-10)
         assert minus_under_h1 >= 0.99
 
@@ -273,8 +281,8 @@ class TestCountTable:
     def test_log_partition_matches_per_configuration_route(self, tree_key, bj, bj1, h):
         tree = build_tree(*tree_key)
         params = ModelParams(J=bj, J1=bj1, beta=1.0)
-        bf = BoundaryField.constant(tree, h)
-        per_config = exact_oracle._log_partition_enumerated(tree, params, bf)
+        per_config = exact_oracle._log_partition_enumerated(
+            tree, params, np.full(tree.level_size(tree.depth), h))
         assert abs(log_partition(tree, params, h) - per_config) <= 1e-13 * abs(per_config)
         mass_plus, mass_minus = plus_minus_mass(tree, params, h)
         assert 0.0 <= mass_plus <= 1.0 and 0.0 <= mass_minus <= 1.0
@@ -284,7 +292,7 @@ class TestCountTable:
         params = ModelParams(J=0.6, J1=1.0, beta=2.0)
         h = ti_fixed_points(params).h3
         per_config = exact_oracle._log_partition_enumerated(
-            tree, params, BoundaryField.constant(tree, h))
+            tree, params, np.full(tree.level_size(3), h))
         assert abs(log_partition(tree, params, h) - per_config) <= 1e-13 * abs(per_config)
 
     def test_concurrent_first_callers_build_once(self):

@@ -9,8 +9,6 @@ from cbtree.field_recursion import (
     FieldAssignment,
     child_to_parent,
     critical_curve,
-    interval_check,
-    iterate_ti_map,
     phase_predicate,
     propagate_inward,
     ti_fixed_points,
@@ -82,12 +80,12 @@ class TestPropagateInward:
         tree = build_tree(3, "full")
         fps = ti_fixed_points(TWO_FIVE)
         fields = propagate_inward(tree, TWO_FIVE, fps.h3)
-        assert np.allclose(fields.h_array, fps.h3, atol=1e-12)
+        assert np.allclose(fields.h, fps.h3, atol=1e-12)
 
     def test_zero_boundary_stays_zero(self):
         tree = build_tree(3, "half")
         fields = propagate_inward(tree, TWO_FIVE, 0.0)
-        assert np.allclose(fields.h_array, 0.0, atol=1e-14)
+        assert np.allclose(fields.h, 0.0, atol=1e-14)
 
     def test_interval_containment(self):
         tree = build_tree(3, "full")
@@ -95,14 +93,14 @@ class TestPropagateInward:
         rng = np.random.default_rng(31)
         boundary = rng.uniform(fps.h1, fps.h3, tree.level_size(3))
         fields = propagate_inward(tree, TWO_FIVE, boundary)
-        assert np.all(fields.h_array >= fps.h1 - 1e-12)
-        assert np.all(fields.h_array <= fps.h3 + 1e-12)
+        assert np.all(fields.h >= fps.h1 - 1e-12)
+        assert np.all(fields.h <= fps.h3 + 1e-12)
 
     def test_interior_satisfies_recursion(self):
         tree = build_tree(2, "full")
         rng = np.random.default_rng(13)
         fields = propagate_inward(tree, TWO_FIVE, rng.uniform(-1, 1, 6))
-        h = fields.h_array
+        h = fields.h
         for x in tree.vertices_at(1):
             y, z = tree.children[x]
             assert h[x] == pytest.approx(child_to_parent(TWO_FIVE, h[y], h[z]), abs=1e-14)
@@ -121,9 +119,16 @@ class TestPropagateInward:
 
 class TestFieldAssignment:
     def test_u_accessor(self):
+        # h is stored once, as a read-only float64 copy; u = exp(2h).
         tree = build_tree(1, "full")
-        fields = FieldAssignment(tree, (0.0, 0.5, -0.5, 1.0))
-        assert np.allclose(fields.u_array, np.exp([0.0, 1.0, -1.0, 2.0]))
+        given = [0.0, 0.5, -0.5, 1.0]
+        fields = FieldAssignment(tree, given)
+        assert fields.h.dtype == np.float64 and not fields.h.flags.writeable
+        assert np.allclose(np.exp(2.0 * fields.h), np.exp([0.0, 1.0, -1.0, 2.0]))
+        given[0] = 9.0
+        assert fields.h[0] == 0.0
+        with pytest.raises(ValueError):
+            fields.h[0] = 1.0
 
     def test_validation(self):
         tree = build_tree(1, "full")
@@ -190,6 +195,16 @@ class TestTIFixedPoints:
         with pytest.raises(OverflowError):
             phase_predicate(params)
 
+    def test_infinite_root_sum_is_rejected(self):
+        # theta1**2 overflows while theta1/theta does not: the root sum is
+        # +inf, three solutions exist, and u3 = t would be infinite.
+        params = ModelParams(J=1.0, J1=300.0, beta=1.0)
+        assert math.isfinite(params.theta1_exp)
+        assert math.isinf(params.theta1_exp * params.theta1_exp)
+        with pytest.raises(OverflowError, match="u3 is infinite"):
+            ti_fixed_points(params)
+        assert phase_predicate(params) is True
+
 
 class TestPhasePredicate:
     def test_examples(self):
@@ -243,43 +258,9 @@ class TestCriticalCurve:
 
 
 class TestIntervalCheck:
-    def test_two_five(self):
-        assert interval_check(TWO_FIVE, grid_size=64) is True
-
     def test_corners_are_fixed_points(self):
         fps = ti_fixed_points(TWO_FIVE)
         assert ti_map(TWO_FIVE, fps.u1) == pytest.approx(fps.u1, abs=1e-12)
         assert ti_map(TWO_FIVE, fps.u3) == pytest.approx(fps.u3, abs=1e-12)
         assert ti_map(TWO_FIVE, 1.0) == pytest.approx(1.0, abs=1e-14)
 
-    def test_wrong_regime_rejected(self):
-        with pytest.raises(ValueError, match="regime"):
-            interval_check(ModelParams.from_thetas(1.0, 1.5))
-
-
-class TestIterateTIMap:
-    def test_unique_regime_converges_to_one(self):
-        params = ModelParams.from_thetas(1.0, 1.5)
-        res = iterate_ti_map(params, 7.0, tol=1e-13)
-        assert res.converged
-        assert res.u == pytest.approx(1.0, abs=1e-10)
-
-    def test_three_regime_upper_attractor(self):
-        res = iterate_ti_map(TWO_FIVE, 1.2, tol=1e-13)
-        fps = ti_fixed_points(TWO_FIVE)
-        assert res.converged
-        assert abs(res.u - fps.u3) < 10 * 1e-13
-
-    def test_stays_at_symmetric_point(self):
-        res = iterate_ti_map(TWO_FIVE, 1.0)
-        assert res.converged
-        assert res.u == 1.0
-        assert res.iterations == 1
-
-    def test_nonconvergence_reported_not_raised(self):
-        res = iterate_ti_map(TWO_FIVE, 1.2, tol=1e-13, max_iter=3)
-        assert not res.converged
-
-    def test_rejects_nonpositive_start(self):
-        with pytest.raises(ValueError):
-            iterate_ti_map(TWO_FIVE, 0.0)

@@ -30,6 +30,9 @@ CASES = {
     "fixed_points_mixed": ["fixed-points", "--J", "1", "--theta", "5"],
     "fixed_points_nan_root_sum": ["fixed-points", "--J", "-5.987614609324681",
                                   "--J1", "9.855434901080743", "--beta", "23.05895366359976"],
+    "fixed_points_inf_root_sum": ["fixed-points", "--J", "1", "--J1", "300", "--beta", "1"],
+    "fixed_points_negative_exponent": ["fixed-points", "--J", "-1e-3", "--J1", "1",
+                                       "--beta", "1"],
     "phase_diagram_out": ["phase-diagram", "--grid", "theta1=1.2:4:6",
                           "--grid", "theta=0.5:8:5", "--out", "{out}"],
     "phase_diagram_stdout": ["phase-diagram", "--grid", "theta1=2:3:2",
@@ -87,6 +90,12 @@ def run_case(argv: list[str], tmp_dir: Path) -> str:
 def test_golden(name, tmp_path):
     expected = (GOLDEN_DIR / f"{name}.txt").read_bytes().decode("utf-8")
     assert run_case(CASES[name], tmp_path) == expected
+
+
+def test_negative_exponent_matches_joined_spelling(tmp_path):
+    joined = ["fixed-points", "--J=-1e-3", "--J1", "1", "--beta", "1"]
+    assert run_case(CASES["fixed_points_negative_exponent"], tmp_path) == run_case(
+        joined, tmp_path)
 
 
 def _rewrite_all() -> None:

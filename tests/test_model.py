@@ -25,7 +25,6 @@ class TestModelParams:
         p = ModelParams(J=0.3, J1=-0.2, beta=2.0)
         assert p.theta_exp == pytest.approx(math.exp(1.2))
         assert p.theta1_exp == pytest.approx(math.exp(-0.8))
-        assert abs(p.theta_tanh) < 1.0
 
     def test_from_thetas_roundtrip(self):
         p = ModelParams.from_thetas(5.0, 2.0)
