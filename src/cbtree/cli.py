@@ -44,10 +44,12 @@ from .free_energy import (
 from .field_recursion import (
     CURVE_POLE_TOL,
     REGIME_THREE,
+    REGIMES,
     child_to_parent,
     critical_curve,
     propagate_inward,
     ti_fixed_points,
+    ti_fixed_points_grid,
     ti_map,
 )
 from .model import ModelParams
@@ -123,6 +125,7 @@ class _Table:
     columns: list[str]
     rows: list
     comments: tuple[str, ...] = ()
+    row_format: str | None = None  # one % format per tuple row, not _cell per cell
 
     @classmethod
     def of_record(cls, record: dict) -> "_Table":
@@ -131,7 +134,8 @@ class _Table:
     def csv(self) -> str:
         lines = [f"# {line}" for line in self.comments]
         lines.append(",".join(self.columns))
-        lines.extend(",".join(_cell(v) for v in row) for row in self.rows)
+        lines.extend(map(self.row_format.__mod__, self.rows) if self.row_format
+                     else (",".join(_cell(v) for v in row) for row in self.rows))
         return "\n".join(lines) + "\n"
 
 
@@ -162,7 +166,8 @@ def _write_output(path: str | None, text: str) -> None:
 
 
 def _write_json(path: str | None, doc: dict) -> None:
-    _write_output(path, json.dumps(doc, indent=2, sort_keys=True, default=_json_default) + "\n")
+    _write_output(path, json.dumps(doc, indent=2, sort_keys=True, allow_nan=False,
+                                   default=_json_default) + "\n")
 
 
 def _emit(args: argparse.Namespace, result: _Result) -> int:
@@ -205,11 +210,10 @@ def cmd_phase_diagram(args: argparse.Namespace) -> _Result:
     if curve_out is None and args.out not in (None, "-"):
         curve_out = args.out + ".curve"
 
-    grid_rows = []
-    for t1 in theta1_grid:
-        for t in theta_grid:
-            fps = ti_fixed_points(ModelParams.from_thetas(float(t), float(t1)))
-            grid_rows.append((t1, float(t), fps.regime, fps.u1, fps.u3))
+    regime, u1, u3 = ti_fixed_points_grid(theta1_grid, theta_grid)
+    grid_rows, thetas = [], theta_grid.tolist()  # the rows share one float per axis value
+    for t1, tags, a, b in zip(theta1_grid.tolist(), regime.tolist(), u1.tolist(), u3.tolist()):
+        grid_rows.extend(zip([t1] * len(thetas), thetas, map(REGIMES.__getitem__, tags), a, b))
 
     pole = math.sqrt(3.0)
     curve_points = [float(t1) for t1 in theta1_grid if t1 > pole + CURVE_POLE_TOL]
@@ -217,7 +221,8 @@ def cmd_phase_diagram(args: argparse.Namespace) -> _Result:
     if skipped:
         print(f"warning: skipped {skipped} theta1 grid points at or below the "
               f"sqrt(3) pole of the critical curve", file=sys.stderr)
-    grid = _Table(["theta1", "theta", "regime", "u1", "u3"], grid_rows)
+    grid = _Table(["theta1", "theta", "regime", "u1", "u3"], grid_rows,
+                  row_format="%.17g,%.17g,%s,%.17g,%.17g")
     curve = _Table(["theta1", "theta_c", "j1_beta", "j_beta"], critical_curve(curve_points))
     return _Result({"rows": grid, "curve": curve}, [(args.out, grid), (curve_out, curve)])
 

@@ -13,7 +13,10 @@ raises once that arithmetic leaves the float range: ZeroDivisionError when
 theta underflows to 0, and OverflowError when theta or theta1 overflows or
 the root sum is +inf (theta1**2 overflows) or inf - inf (theta1**2 and
 theta1/theta both do).  ``phase_predicate`` returns True at a root sum
-of +inf and raises on the rest.
+of +inf and raises on the rest.  ``ti_fixed_points_grid`` equals
+``ti_fixed_points`` bit for bit on a whole grid: numpy's exp and log may differ
+from ``math`` in the last ulp, so it exponentiates in ``math`` once per axis
+value and does the rest with correctly rounded + - * / and sqrt, in order.
 
 Constant fields u reduce the recursion to a scalar map whose fixed points
 are u = 1 together with the roots of u**2 + (1 + alpha)u + 1 = 0 with
@@ -24,6 +27,7 @@ equality locus is the critical curve.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -45,6 +49,7 @@ CURVE_POLE_TOL = 1e-9
 REGIME_UNIQUE = "unique"
 REGIME_DEGENERATE = "degenerate"
 REGIME_THREE = "three"
+REGIMES = (REGIME_UNIQUE, REGIME_DEGENERATE, REGIME_THREE)  # by _classify index
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,6 +124,13 @@ def _lse(values) -> float:
     return m + float(np.log(np.sum(np.exp(a - m))))
 
 
+def _pair_log_weights(a1, aj, hy, hz, lse):
+    """``pair_log_weights`` on a1 = 2*beta*J1 and aj = beta*J, through ``lse``."""
+    w_up = lse(a1 + aj + hy + hz, -aj - hy + hz, -aj + hy - hz, -a1 + aj - hy - hz)
+    w_down = lse(-a1 + aj + hy + hz, -aj - hy + hz, -aj + hy - hz, a1 + aj - hy - hz)
+    return w_up, w_down
+
+
 def pair_log_weights(params: ModelParams, h_y, h_z):
     """Log of the two conditional sums over a child pair, given the parent.
 
@@ -129,17 +141,11 @@ def pair_log_weights(params: ModelParams, h_y, h_z):
     branch and return floats (the constant-field solves call it once per
     point); broadcastable arrays are reduced with numpy.
     """
-    a1 = 2.0 * params.beta * params.J1
-    aj = params.beta * params.J
+    a1, aj = 2.0 * params.beta * params.J1, params.beta * params.J
     if np.ndim(h_y) == 0 and np.ndim(h_z) == 0:
-        hy, hz, lse = float(h_y), float(h_z), _lse4
-    else:
-        hy = np.asarray(h_y, dtype=np.float64)
-        hz = np.asarray(h_z, dtype=np.float64)
-        lse = _lse4_array
-    w_up = lse(a1 + aj + hy + hz, -aj - hy + hz, -aj + hy - hz, -a1 + aj - hy - hz)
-    w_down = lse(-a1 + aj + hy + hz, -aj - hy + hz, -aj + hy - hz, a1 + aj - hy - hz)
-    return w_up, w_down
+        return _pair_log_weights(a1, aj, float(h_y), float(h_z), _lse4)
+    return _pair_log_weights(a1, aj, np.asarray(h_y, dtype=np.float64),
+                             np.asarray(h_z, dtype=np.float64), _lse4_array)
 
 
 def child_to_parent(params: ModelParams, h_y, h_z):
@@ -198,23 +204,24 @@ def propagate_inward(tree: TreeIndex, params: ModelParams, boundary) -> FieldAss
     return FieldAssignment(tree=tree, h=h, root_rule=root_rule)
 
 
-def _classify(params: ModelParams) -> tuple[str, float]:
-    """Regime tag and root sum t = -(1 + alpha) of the non-trivial roots.
+def _classify(theta, theta1):
+    """Index into REGIMES and root sum t = -(1 + alpha), for floats or arrays.
 
-    The discriminant (t - 2)(t + 2) decides the regime: within
-    DEGENERACY_TOL of zero the twin roots are reported as degenerate,
-    otherwise three solutions exist exactly when t > 2.  That form stays
-    finite even when t*t would overflow.  When theta1**2 and theta1/theta
-    both overflow, t is inf - inf and no regime can be read off; that raises
-    OverflowError rather than tagging the point.
+    The discriminant (t - 2)(t + 2), finite even where t*t overflows, decides:
+    within DEGENERACY_TOL of zero the twin roots are degenerate, otherwise
+    three solutions exist exactly when t > 2.  At t = inf - inf (theta1**2 and
+    theta1/theta both overflow) no regime can be read: a float raises
+    OverflowError rather than tagging the point, an array keeps the NaN.
     """
-    theta1 = params.theta1_exp
-    t = theta1 * theta1 - 2.0 * theta1 / params.theta_exp - 1.0
-    if math.isnan(t):
+    t = theta1 * theta1 - 2.0 * theta1 / theta - 1.0
+    if isinstance(t, float) and math.isnan(t):
         raise OverflowError("theta1**2 and theta1/theta both overflow a float")
-    if t > 0.0 and abs((t - 2.0) * (t + 2.0)) <= DEGENERACY_TOL:
-        return REGIME_DEGENERATE, t
-    return (REGIME_THREE if t > 2.0 else REGIME_UNIQUE), t
+    degenerate = (t > 0.0) & (abs((t - 2.0) * (t + 2.0)) <= DEGENERACY_TOL)
+    return degenerate + 2 * (t > 2.0) * (1 - degenerate), t
+
+
+def _larger_root(t, sqrt=math.sqrt):
+    return 0.5 * t * (1.0 + sqrt(1.0 - 4.0 / (t * t)))  # finite even if t*t overflows
 
 
 def ti_fixed_points(params: ModelParams) -> TIFixedPoints:
@@ -226,15 +233,14 @@ def ti_fixed_points(params: ModelParams) -> TIFixedPoints:
     (the product of the two roots is exactly 1).  A root sum of +inf
     (theta1**2 overflows) leaves u3 infinite and raises OverflowError.
     """
-    regime, t = _classify(params)
-    if regime == REGIME_THREE:
-        # Stays finite even when t*t would overflow.
-        u3 = 0.5 * t * (1.0 + math.sqrt(1.0 - 4.0 / (t * t)))
+    index, t = _classify(params.theta_exp, params.theta1_exp)
+    if REGIMES[index] == REGIME_THREE:
+        u3 = _larger_root(t)
         if math.isinf(u3):
             raise OverflowError("theta1**2 overflows a float, so u3 is infinite")
         fps = TIFixedPoints(REGIME_THREE, 1.0 / u3, 1.0, u3)
     else:
-        fps = TIFixedPoints(regime, 1.0, 1.0, 1.0)
+        fps = TIFixedPoints(REGIMES[index], 1.0, 1.0, 1.0)
 
     for u in (fps.u1, fps.u2, fps.u3):
         if abs(ti_map(params, u) - u) > RESIDUAL_TOL * max(1.0, u):
@@ -244,13 +250,52 @@ def ti_fixed_points(params: ModelParams) -> TIFixedPoints:
     return fps
 
 
+def _axis_terms(axis) -> np.ndarray:
+    """theta_exp = theta1_exp and beta*J = beta*J1 of ``from_thetas(x, x)`` per x, else NaN."""
+    out = np.full((2, len(axis)), np.nan)
+    for k, x in enumerate(axis):
+        with contextlib.suppress(ValueError, ArithmeticError):
+            p = ModelParams.from_thetas(float(x), float(x))
+            out[:, k] = p.theta_exp, p.beta * p.J
+    return out
+
+
+@np.errstate(all="ignore")
+def ti_fixed_points_grid(theta1_grid, theta_grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Regime index into REGIMES, u1 and u3 per cell, theta1-major, each equal
+    bit for bit to ``ti_fixed_points(ModelParams.from_thetas(theta, theta1))``.
+
+    A cell with a rejected axis value, a NaN root sum, theta = 0, an infinite
+    u3 or a failed u1, u2 or u3 residual check is solved again by that scalar
+    face, in row-major order: it raises its error here or, accepting the
+    cell, confirms the values already held.
+    """
+    (th1, j1), (th, aj) = _axis_terms(theta1_grid), _axis_terms(theta_grid)
+    regime = np.empty((len(th1), len(th)), dtype=np.int8)
+    u1, u3 = np.empty((2, *regime.shape))
+    step = max(1, 4096 // max(1, len(th)))  # rows per block of about 4096 cells
+    for lo in range(0, len(th1), step):
+        rows = slice(lo, lo + step)
+        regime[rows], t = _classify(th, th1[rows, None])
+        u3[rows] = np.where(regime[rows] == 2, _larger_root(t, np.sqrt), 1.0)
+        u1[rows] = 1.0 / u3[rows]
+        u = np.stack([u1[rows], np.ones_like(t), u3[rows]])
+        h = 0.5 * np.log(u)
+        w_up, w_down = _pair_log_weights(2.0 * j1[rows, None], aj, h, h, _lse4_array)
+        ok = np.abs(np.exp(w_up - w_down) - u) <= RESIDUAL_TOL * np.maximum(1.0, u)
+        bad = ~ok.all(axis=0) | np.isnan(t) | np.isinf(u3[rows]) | (th == 0.0)
+        for i, j in np.argwhere(bad) + (lo, 0):
+            ti_fixed_points(ModelParams.from_thetas(float(theta_grid[j]), float(theta1_grid[i])))
+    return regime, u1, u3
+
+
 def phase_predicate(params: ModelParams) -> bool:
     """True exactly when three constant-field solutions exist (strict).
 
     Shares ``ti_fixed_points``' classification, degeneracy band included,
     so the two never disagree near the critical curve.
     """
-    return _classify(params)[0] == REGIME_THREE
+    return REGIMES[_classify(params.theta_exp, params.theta1_exp)[0]] == REGIME_THREE
 
 
 def critical_curve(theta1_grid) -> list[tuple[float, float, float, float]]:

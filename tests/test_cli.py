@@ -3,8 +3,9 @@ import math
 
 import pytest
 
-from cbtree import cli, exact_oracle
+from cbtree import cli, exact_oracle, field_recursion
 from cbtree.cli import main, run_verification
+from cbtree.model import ModelParams
 
 TWO_FIVE_ARGS = ["--theta", "5", "--theta1", "2"]
 
@@ -119,6 +120,28 @@ class TestPhaseDiagramCommand:
     def test_missing_axis_rejected(self):
         assert main(["phase-diagram", "--grid", "theta1=2:3:2"]) == 2
 
+    def test_no_per_cell_scalar_solve(self, monkeypatch, capsys):
+        calls = {"from_thetas": 0, "ti_fixed_points": 0}
+        from_thetas = ModelParams.from_thetas.__func__
+        ti_fixed_points = field_recursion.ti_fixed_points
+
+        def counted_from_thetas(cls, theta, theta1):
+            calls["from_thetas"] += 1
+            return from_thetas(cls, theta, theta1)
+
+        def counted_ti_fixed_points(params):
+            calls["ti_fixed_points"] += 1
+            return ti_fixed_points(params)
+
+        monkeypatch.setattr(ModelParams, "from_thetas", classmethod(counted_from_thetas))
+        monkeypatch.setattr(field_recursion, "ti_fixed_points", counted_ti_fixed_points)
+        monkeypatch.setattr(cli, "ti_fixed_points", counted_ti_fixed_points)
+        assert main(["phase-diagram", "--grid", "theta1=1:4:20", "--grid", "theta=0.5:8:30"]) == 0
+        # One params object per axis value; no scalar solve on a clean grid.
+        assert calls == {"from_thetas": 20 + 30, "ti_fixed_points": 0}
+        # Grid header and rows, curve header and the 15 theta1 values above the pole.
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 20 * 30 + 1 + 15
+
     def test_successive_calls_share_no_grids(self, capsys):
         # The parser is built once per process; a --grid list from one call
         # must not leak into the defaults of the next.
@@ -126,6 +149,27 @@ class TestPhaseDiagramCommand:
         capsys.readouterr()
         assert main(["phase-diagram", "--grid", "theta1=2:3:2"]) == 2
         assert "missing --grid theta=" in capsys.readouterr().err
+
+
+class TestOutput:
+    def test_row_format_writes_the_cell_bytes(self):
+        rows = [(2.0, 1 / 3, "three", 5e-324, 1e22), (-0.0, math.inf, "unique", -math.inf,
+                                                      math.nan), (1e-320, 0.1, "x", 1.0, 7.0)]
+        columns = ["a", "b", "c", "d", "e"]
+        by_cell = cli._Table(columns, rows).csv()
+        assert cli._Table(columns, rows, row_format="%.17g,%.17g,%s,%.17g,%.17g").csv() == by_cell
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_json_is_refused(self, monkeypatch, capsys, tmp_path, value):
+        monkeypatch.setattr(cli, "cmd_fixed_points",
+                            lambda args: cli._Result({"result": {"u3": value}}, []))
+        out = tmp_path / "fp.json"
+        for extra in ([], ["--out", str(out)]):
+            assert main(["fixed-points", *TWO_FIVE_ARGS, "--format", "json", *extra]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: Out of range float values")
+        assert not out.exists()
 
 
 class TestVerifyCommand:

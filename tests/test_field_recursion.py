@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cbtree import field_recursion
 from cbtree.field_recursion import (
+    REGIMES,
     FieldAssignment,
     child_to_parent,
     critical_curve,
     phase_predicate,
     propagate_inward,
     ti_fixed_points,
+    ti_fixed_points_grid,
     ti_map,
 )
 from cbtree.model import ModelParams
@@ -204,6 +207,121 @@ class TestTIFixedPoints:
         with pytest.raises(OverflowError, match="u3 is infinite"):
             ti_fixed_points(params)
         assert phase_predicate(params) is True
+
+
+def scalar_cells(theta1_grid, theta_grid):
+    """(regime, u1, u3) per cell from the scalar face, row-major, or the
+    first error it raises in that order."""
+    cells = []
+    try:
+        for t1 in theta1_grid:
+            for t in theta_grid:
+                fps = ti_fixed_points(ModelParams.from_thetas(float(t), float(t1)))
+                cells.append((fps.regime, fps.u1, fps.u3))
+    except (ValueError, ArithmeticError) as exc:
+        return None, exc
+    return cells, None
+
+
+def grid_cells(theta1_grid, theta_grid):
+    regime, u1, u3 = ti_fixed_points_grid(theta1_grid, theta_grid)
+    assert regime.shape == u1.shape == u3.shape == (len(theta1_grid), len(theta_grid))
+    tags = [REGIMES[i] for i in regime.ravel().tolist()]
+    return list(zip(tags, u1.ravel().tolist(), u3.ravel().tolist()))
+
+
+def assert_grid_matches_scalar(theta1_grid, theta_grid):
+    expected, exc = scalar_cells(theta1_grid, theta_grid)
+    if exc is None:
+        # ``==`` on positive finite floats: bit for bit.
+        assert grid_cells(theta1_grid, theta_grid) == expected
+        return
+    with pytest.raises(type(exc)) as info:
+        ti_fixed_points_grid(theta1_grid, theta_grid)
+    assert type(info.value) is type(exc) and str(info.value) == str(exc)
+
+
+POLE = math.sqrt(3.0)
+
+
+@st.composite
+def straddling_axes(draw):
+    """A theta1 axis and a theta axis around the critical curve, the sqrt(3)
+    pole and the degeneracy band, with some out-of-range values mixed in."""
+    odd = st.sampled_from([0.0, -0.0, -1.0, math.nan, math.inf, -math.inf, 5e-324,
+                           1e-300, 1e150, 1e200, 1.7976931348623157e308])
+    near_pole = st.floats(-1e-8, 1e-8).map(lambda e: POLE * (1.0 + e))
+    theta1 = draw(st.lists(st.one_of(st.floats(0.5, 6.0), near_pole,
+                                     st.floats(1e100, 1e300), odd), min_size=1, max_size=5))
+    # theta on the curve of a drawn theta1, nudged across the degeneracy band.
+    on_curve = st.tuples(st.sampled_from(theta1),
+                         st.sampled_from([0.0, 1e-16, -1e-16, 1e-14, -1e-14, 1e-12,
+                                          -1e-12, 1e-9, -1e-9])).map(
+        lambda p: 2.0 * p[0] / (p[0] * p[0] - 3.0) * (1.0 + p[1]))
+    theta = draw(st.lists(st.one_of(st.floats(0.05, 12.0), on_curve,
+                                    st.floats(1e-320, 1e-250), odd), min_size=1, max_size=5))
+    return theta1, theta
+
+
+class TestTIFixedPointsGrid:
+    @pytest.mark.parametrize("theta1_spec, theta_spec", [
+        ((1.2, 4.0, 6), (0.5, 8.0, 5)),    # golden phase_diagram_out
+        ((2.0, 3.0, 2), (1.0, 6.0, 3)),    # golden phase_diagram_stdout
+        ((1.5, 2.5, 3), (2.0, 6.0, 3)),    # golden phase_diagram_json
+        ((1.2, 4.7, 200), (0.3, 9.5, 200)),  # a recursion_grid-sized diagram
+    ])
+    def test_bit_identical_to_scalar_face(self, theta1_spec, theta_spec):
+        theta1_grid, theta_grid = np.linspace(*theta1_spec), np.linspace(*theta_spec)
+        expected, exc = scalar_cells(theta1_grid, theta_grid)
+        assert exc is None
+        assert grid_cells(theta1_grid, theta_grid) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(straddling_axes())
+    def test_matches_scalar_face_and_its_errors(self, axes):
+        assert_grid_matches_scalar(*axes)
+
+    def test_curve_band_and_pole(self):
+        theta1 = [POLE * (1.0 - 1e-12), POLE, POLE * (1.0 + 1e-12), 2.0, 2.5]
+        theta = [4.0 * (1.0 + e) for e in (-1e-9, -1e-13, 0.0, 1e-13, 1e-9)]
+        assert {c[0] for c in grid_cells(theta1, theta)} == set(REGIMES)
+        assert_grid_matches_scalar(theta1, theta)
+
+    def test_blocks_and_lists(self):
+        # More cells than one block, on a one-column grid, given as lists.
+        theta1 = np.linspace(1.0, 4.0, 20000).tolist()
+        regime, u1, u3 = ti_fixed_points_grid(theta1, [4.0])
+        for k in (0, 9999, 16384, 19999):
+            fps = ti_fixed_points(ModelParams.from_thetas(4.0, theta1[k]))
+            assert (REGIMES[regime[k, 0]], u1[k, 0], u3[k, 0]) == (fps.regime, fps.u1, fps.u3)
+
+    def test_injected_residual_failure_fails_the_solve(self, monkeypatch):
+        core = field_recursion._pair_log_weights
+
+        def perturbed(a1, aj, hy, hz, lse):
+            w_up, w_down = core(a1, aj, hy, hz, lse)
+            return w_up + 1e-6, w_down
+
+        monkeypatch.setattr(field_recursion, "_pair_log_weights", perturbed)
+        with pytest.raises(ArithmeticError, match="residual check"):
+            ti_fixed_points_grid([2.0, 3.0], [1.0, 5.0])
+
+    def test_array_only_residual_failure_is_resolved_by_scalar_face(self, monkeypatch):
+        core = field_recursion._pair_log_weights
+        calls = []
+
+        def array_perturbed(a1, aj, hy, hz, lse):
+            w_up, w_down = core(a1, aj, hy, hz, lse)
+            if lse is field_recursion._lse4_array:
+                return w_up + 1e-6, w_down
+            calls.append(1)
+            return w_up, w_down
+
+        theta1, theta = [1.5, 2.0, 3.0], [1.0, 4.0, 5.0]
+        expected, _ = scalar_cells(theta1, theta)
+        monkeypatch.setattr(field_recursion, "_pair_log_weights", array_perturbed)
+        assert grid_cells(theta1, theta) == expected
+        assert len(calls) == 3 * 9  # every cell re-solved, three residuals each
 
 
 class TestPhasePredicate:

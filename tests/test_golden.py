@@ -42,6 +42,12 @@ CASES = {
     "phase_diagram_bad_grid": ["phase-diagram", "--grid", "theta1=3:2:5",
                                "--grid", "theta=1:2:3"],
     "phase_diagram_missing_axis": ["phase-diagram", "--grid", "theta1=2:3:2"],
+    "phase_diagram_nonpositive": ["phase-diagram", "--grid", "theta1=2:3:3",
+                                  "--grid", "theta=-1:2:4"],
+    "phase_diagram_inf_root_sum": ["phase-diagram", "--grid", "theta1=2:1e200:3",
+                                   "--grid", "theta=1:2:2"],
+    "phase_diagram_nan_root_sum": ["phase-diagram", "--grid", "theta1=2:1e200:2",
+                                   "--grid", "theta=1e-300:1:2", "--format", "json"],
     "free_energy_csv": ["free-energy", "--theta", "5", "--theta1", "2", "--n-max", "6"],
     "free_energy_json_u1": ["free-energy", "--theta", "5", "--theta1", "2", "--branch", "u1",
                             "--n-max", "5", "--format", "json"],
