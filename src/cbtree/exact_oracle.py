@@ -182,15 +182,20 @@ def log_partition(tree: TreeIndex, params: ModelParams, h) -> float:
 def first_config(tree: TreeIndex, predicate) -> int | None:
     """Smallest configuration id whose (A, B, C) arrays satisfy ``predicate``.
 
-    Blocks are scanned in id order; the scan stops at the first block with
-    a match.
+    Ids are scanned in order in blocks of 2**10 configurations that double
+    up to ``_BLOCK``, so an early match costs a few small blocks; None if
+    no id matches.
     """
     _check_enum_cap(tree)
-    for lo, hi in _blocks(1 << tree.n_vertices):
+    total = 1 << tree.n_vertices
+    lo, size = 0, 1 << 10
+    while lo < total:
+        hi = min(lo + size, total)
         stats = model.sufficient_stats_batch(tree, np.arange(lo, hi, dtype=np.int64))
         hits = np.flatnonzero(predicate(*stats))
         if hits.size:
             return lo + int(hits[0])
+        lo, size = hi, min(2 * size, _BLOCK)
     return None
 
 

@@ -13,6 +13,10 @@ Vertices are numbered level by level and, within a level, by parent id.
 This makes the depth ``n-1`` slice an id-prefix of the depth-``n`` slice,
 which the enumeration oracle relies on.  A ``TreeIndex`` is immutable after
 construction and safe to share between threads.
+
+Connected vertex sets are enumerated as int bitmasks: ``connected_subsets``
+yields them as frozensets, ``boundary_census`` counts boundaries on the
+masks and ``boundary_sets`` is the frozenset reference for one set.
 """
 
 from __future__ import annotations
@@ -173,21 +177,40 @@ def boundary_sets(tree: TreeIndex, k: Iterable[int]) -> tuple[frozenset[int], fr
     return frozenset(dk), frozenset(d2k)
 
 
-def _rooted_subtrees(tree: TreeIndex, v: int) -> list[frozenset[int]]:
-    """All vertex sets that contain ``v`` and stay inside v's subtree."""
-    options_per_child = []
-    for c in tree.children[v]:
-        opts: list[frozenset[int] | None] = [None]
-        opts.extend(_rooted_subtrees(tree, c))
-        options_per_child.append(opts)
-    out = []
-    for combo in itertools.product(*options_per_child):
-        s = {v}
-        for part in combo:
-            if part is not None:
-                s |= part
-        out.append(frozenset(s))
-    return out
+def _rooted_subtrees(tree: TreeIndex) -> list[list[tuple[int, int, int]]]:
+    """Per vertex v, every vertex set that contains v and stays inside v's subtree.
+
+    Each set is a triple of int bitmasks: its members, the union of their
+    neighbors and the union of their siblings.  Sets come in
+    ``itertools.product`` order over v's children in id order, each child
+    offering "absent" first and then its own sets.
+    """
+    if tree.depth > SUBSET_DEPTH_CAP:
+        raise ValueError(
+            f"connected-subset enumeration capped at depth {SUBSET_DEPTH_CAP}, "
+            f"got depth {tree.depth}"
+        )
+    n = tree.n_vertices
+    nbr = [sum(1 << w for w in tree.neighbors(v)) for v in range(n)]
+    sib = [sum(1 << w for w in tree.siblings(v)) for v in range(n)]
+    rooted: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for v in reversed(range(n)):
+        sets = [(1 << v, nbr[v], sib[v])]
+        for c in tree.children[v]:
+            opts = [(0, 0, 0)] + rooted[c]
+            sets = [(k | kc, d | dc, s | sc) for k, d, s in sets for kc, dc, sc in opts]
+        rooted[v] = sets
+    return rooted
+
+
+@lru_cache(maxsize=None)
+def _byte_ids(j: int) -> tuple[tuple[int, ...], ...]:
+    """Vertex ids in each value of byte j of a mask; subset masks fit in 3 bytes."""
+    return tuple(tuple(8 * j + v for v in range(8) if b >> v & 1) for b in range(256))
+
+
+def _members(k: int) -> frozenset[int]:
+    return frozenset(_byte_ids(0)[k & 255] + _byte_ids(1)[k >> 8 & 255] + _byte_ids(2)[k >> 16])
 
 
 def connected_subsets(tree: TreeIndex, max_count: int) -> Iterator[frozenset[int]]:
@@ -196,15 +219,23 @@ def connected_subsets(tree: TreeIndex, max_count: int) -> Iterator[frozenset[int
     Sets are grouped by their vertex of smallest level (the "top"), tops in
     id order.  Raises once the yield count would exceed ``max_count``.
     """
-    if tree.depth > SUBSET_DEPTH_CAP:
-        raise ValueError(
-            f"connected-subset enumeration capped at depth {SUBSET_DEPTH_CAP}, "
-            f"got depth {tree.depth}"
-        )
     count = 0
-    for top in range(tree.n_vertices):
-        for s in _rooted_subtrees(tree, top):
+    for sets in _rooted_subtrees(tree):
+        for k, _, _ in sets:
             count += 1
             if count > max_count:
                 raise ValueError(f"connected subset count exceeds cap {max_count}")
-            yield s
+            yield _members(k)
+
+
+def boundary_census(tree: TreeIndex) -> tuple[int, int, frozenset[int] | None]:
+    """Count connected vertex sets whose sibling boundary outnumbers the edge boundary.
+
+    Walks the sets of ``connected_subsets`` in the same order as bitmasks,
+    taking the boundaries of each from its members' neighbor and sibling
+    masks.  Returns (set count, violating sets, first violating set or None).
+    """
+    rooted = _rooted_subtrees(tree)
+    bad = [k for sets in rooted for k, d, s in sets
+           if (s & ~k).bit_count() > (d & ~k).bit_count()]
+    return sum(map(len, rooted)), len(bad), _members(bad[0]) if bad else None

@@ -28,8 +28,8 @@ from cbtree.free_energy import (
     pair_log_weights,
 )
 from cbtree.ground_states import exhaustive_lemma_check, ground_state_scan
-from cbtree.model import ModelParams
-from cbtree.topology import build_tree
+from cbtree.model import ModelParams, SpinConfig, sufficient_stats
+from cbtree.topology import boundary_sets, build_tree, connected_subsets
 
 
 def _line(number: int, name: str, ok: bool) -> None:
@@ -191,6 +191,55 @@ def test_c6_combinatorial_bounds():
     )
     assert res3.config_violations == 0
     assert res2.subset_violations == 0
+
+
+def test_c6_corrected_bounds():
+    # What does hold on the full tree, checked set by set at depths 1-3.  A
+    # connected K has one shallowest vertex, its top; a K-leaf is a member
+    # with no child in K.  Then |d2K| - |dK| = (siblings of the top - 1) -
+    # (children of the K-leaves), where the first term is 0 at the root.
+    # So the excess is at most 1, and the violators, 3*f(n-1) of them with
+    # f(0) = 1 and f(h) = (f(h-1) + 1)**2 - 1, all have a root child as top
+    # and only boundary K-leaves.  The configuration gap tops out at the
+    # all-plus gap + 2.
+    start = time.perf_counter()
+    formula_misses, bad_violators, counts, max_gaps = 0, 0, [], []
+    f = 1
+    for depth in (1, 2, 3):
+        tree = build_tree(depth, "full")
+        violators = 0
+        for k in connected_subsets(tree, 10**6):
+            dk, d2k = boundary_sets(tree, k)
+            top = min(k)  # ids run level by level
+            leaves = [v for v in k if not any(c in k for c in tree.children[v])]
+            top_term = 0 if top == 0 else len(tree.siblings(top)) - 1
+            excess = len(d2k) - len(dk)
+            if excess != top_term - sum(len(tree.children[v]) for v in leaves):
+                formula_misses += 1
+            if excess > 0:
+                violators += 1
+                if not (excess == 1 and tree.parent[top] == 0
+                        and all(tree.level[v] == depth for v in leaves)):
+                    bad_violators += 1
+        counts.append((violators, 3 * f))
+        f = (f + 1) ** 2 - 1
+        table = exact_oracle.count_table(tree)
+        a, b, _ = sufficient_stats(tree, SpinConfig.all_plus(tree))
+        max_gaps.append((int((table.b - table.a).max()), b - a + 2))
+    elapsed = time.perf_counter() - start
+    ok = (
+        formula_misses == 0
+        and bad_violators == 0
+        and counts == [(3, 3), (9, 9), (45, 45)]
+        and max_gaps == [(2, 2), (5, 5), (11, 11)]
+        and elapsed < 60.0
+    )
+    _line(6, "corrected combinatorial bounds", ok)
+    assert formula_misses == 0
+    assert bad_violators == 0
+    assert counts == [(3, 3), (9, 9), (45, 45)]
+    assert max_gaps == [(2, 2), (5, 5), (11, 11)]
+    assert elapsed < 60.0
 
 
 def test_c7_ground_state_limit():

@@ -14,6 +14,7 @@ from cbtree.exact_oracle import (
     PLUS_BIN,
     check_consistency,
     count_table,
+    first_config,
     log_partition,
     log_weights,
     marginal_prob,
@@ -21,7 +22,14 @@ from cbtree.exact_oracle import (
     plus_minus_mass,
 )
 from cbtree.field_recursion import FieldAssignment, propagate_inward, ti_fixed_points
-from cbtree.model import ModelParams, SpinConfig, spin_bits, sufficient_stats, sufficient_stats_batch
+from cbtree.model import (
+    ModelParams,
+    SpinConfig,
+    spin_bits,
+    stat_maxima,
+    sufficient_stats,
+    sufficient_stats_batch,
+)
 from cbtree.topology import build_tree
 
 FREE = ModelParams(J=0.0, J1=0.0, beta=1.0)
@@ -313,3 +321,45 @@ class TestCountTable:
         assert not any(t.is_alive() for t in threads)
         assert len(results) == 8 and all(r is results[0] for r in results)
         assert exact_oracle._build_count_table.cache_info().misses == 1
+
+
+class TestFirstConfig:
+    """``first_config`` against a flat scan of the statistics of every id."""
+
+    @staticmethod
+    def flat_first(tree, predicates):
+        # The predicate over all ids at once, evaluated in 2**20-id slices
+        # to bound memory; the first hit of each predicate or None.
+        total = 1 << tree.n_vertices
+        hits = [[] for _ in predicates]
+        for lo in range(0, total, 1 << 20):
+            stats = sufficient_stats_batch(
+                tree, np.arange(lo, min(lo + (1 << 20), total), dtype=np.int64))
+            for found, pred in zip(hits, predicates):
+                found.append(pred(*stats))
+        firsts = [np.flatnonzero(np.concatenate(found)) for found in hits]
+        return [int(f[0]) if f.size else None for f in firsts]
+
+    # Depths 0 and 1 (2 and 16 ids) are smaller than the first 2**10 block.
+    @pytest.mark.parametrize("depth,witness", [(0, None), (1, 2), (2, 18), (3, 1042)])
+    def test_matches_flat_scan(self, depth, witness):
+        tree = build_tree(depth, "full")
+        a_max, b_max, _ = stat_maxima(tree)
+        n = tree.n_vertices
+        predicates = [
+            lambda a, b, c: b - a > b_max - a_max,   # the lemma-check witness
+            lambda a, b, c: np.zeros(a.shape, dtype=bool),   # matches nothing
+            lambda a, b, c: c == n,   # only the all-plus id, in the last block
+            lambda a, b, c: c == -n,   # only id 0, the first of the first block
+            # One plus spin on one edge: 2**(first boundary id), which at
+            # depth 3 opens the second block.
+            lambda a, b, c: (c == 2 - n) & (b == b_max - 2),
+        ]
+        single_leaf = 1 << tree.boundary[0] if depth else None
+        expected = [witness, None, (1 << n) - 1, 0, single_leaf]
+        assert self.flat_first(tree, predicates) == expected
+        assert [first_config(tree, pred) for pred in predicates] == expected
+
+    def test_depth_cap(self):
+        with pytest.raises(ValueError, match="capped"):
+            first_config(build_tree(4, "full"), lambda a, b, c: a == a)

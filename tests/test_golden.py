@@ -69,6 +69,8 @@ CASES = {
     "lemma_check_depth2": ["lemma-check", "--depth", "2"],
     "lemma_check_depth1_csv": ["lemma-check", "--depth", "1", "--format", "csv"],
     "lemma_check_depth0": ["lemma-check", "--depth", "0"],
+    "lemma_check_depth3": ["lemma-check", "--depth", "3"],
+    "lemma_check_depth4": ["lemma-check", "--depth", "4"],
     "verify_seed0": ["verify", "--seed", "0"],
     "verify_injected": ["verify", "--seed", "0", "--inject-failure", "--out", "{out}"],
 }

@@ -3,7 +3,9 @@ import itertools
 import pytest
 
 from cbtree.topology import (
+    MODES,
     TreeIndex,
+    boundary_census,
     boundary_sets,
     build_tree,
     connected_subsets,
@@ -30,6 +32,15 @@ def brute_force_connected_subsets(tree: TreeIndex) -> set[frozenset]:
         if seen == k:
             out.add(k)
     return out
+
+
+def product_order_subtrees(tree: TreeIndex, v: int) -> list[frozenset]:
+    """Independent oracle of the enumeration order: the sets containing v
+    inside v's subtree, in itertools.product order over v's children, each
+    child offering "absent" first."""
+    options = [[None] + product_order_subtrees(tree, c) for c in tree.children[v]]
+    return [frozenset({v}).union(*(part for part in combo if part is not None))
+            for combo in itertools.product(*options)]
 
 
 class TestBuildTree:
@@ -210,3 +221,30 @@ class TestConnectedSubsets:
         with pytest.raises(ValueError, match="cap"):
             next(connected_subsets(build_tree(4, "half"), 10**6))
 
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3])
+    def test_order_is_product_order_by_top(self, depth, mode):
+        tree = build_tree(depth, mode)
+        expected = [k for top in range(tree.n_vertices)
+                    for k in product_order_subtrees(tree, top)]
+        assert list(connected_subsets(tree, 10**6)) == expected
+
+
+class TestBoundaryCensus:
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3])
+    def test_matches_frozenset_loop(self, depth, mode):
+        tree = build_tree(depth, mode)
+        count = 0
+        violators = []
+        for k in connected_subsets(tree, 10**6):
+            count += 1
+            dk, d2k = boundary_sets(tree, k)
+            if len(d2k) > len(dk):
+                violators.append(k)
+        witness = violators[0] if violators else None
+        assert boundary_census(tree) == (count, len(violators), witness)
+
+    def test_depth_cap(self):
+        with pytest.raises(ValueError, match="cap"):
+            boundary_census(build_tree(4, "half"))
