@@ -196,10 +196,9 @@ def propagate_inward(tree: TreeIndex, params: ModelParams, boundary) -> FieldAss
     h = np.zeros(tree.n_vertices)
     h[list(tree.boundary)] = _boundary_array(tree, boundary)
     for m in range(tree.depth - 1, -1, -1):
-        xs = list(tree.vertices_at(m))
-        first = np.array([tree.children[x][0] for x in xs])
-        second = np.array([tree.children[x][1] for x in xs])
-        h[xs] = child_to_parent(params, h[first], h[second])
+        kids = tree.level_start[m + 1]  # level m + 1 opens with each parent's first two children
+        end = kids + 2 * tree.level_size(m)
+        h[tree.level_start[m]:kids] = child_to_parent(params, h[kids:end:2], h[kids + 1:end:2])
     root_rule = "first_child_pair" if tree.mode == "full" and tree.depth >= 1 else None
     return FieldAssignment(tree=tree, h=h, root_rule=root_rule)
 

@@ -130,10 +130,9 @@ def log_partition_recursive(params: ModelParams, fields: FieldAssignment, depth:
     h = fields.h
     ln_z = _ln_z1(params, tree.mode, h[list(tree.vertices_at(1))])
     for m in range(1, n):
-        xs = list(tree.vertices_at(m))
-        first = np.array([tree.children[x][0] for x in xs])
-        second = np.array([tree.children[x][1] for x in xs])
-        ln_z += float(np.sum(level_log_factor(params, h[first], h[second])))
+        kids = tree.level_start[m + 1]  # level m + 1 opens with each parent's first two children
+        end = kids + 2 * tree.level_size(m)
+        ln_z += float(np.sum(level_log_factor(params, h[kids:end:2], h[kids + 1:end:2])))
     return ln_z
 
 

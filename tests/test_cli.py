@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -33,7 +34,7 @@ class TestFixedPointsCommand:
         assert main(["fixed-points", "--J", "1", "--J1", "1", "--beta", "2",
                      "--format", "json", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
-        assert doc["schema"] == 3
+        assert doc["schema"] == 4
         assert doc["result"]["regime"] == "three"
 
     def test_rejects_mixed_parameterization(self, capsys):
@@ -171,13 +172,72 @@ class TestOutput:
             assert captured.err.startswith("error: Out of range float values")
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["fixed-points", *TWO_FIVE_ARGS, "--out", "{missing}/fp.csv"],
+        ["phase-diagram", "--grid", "theta1=2:2:1", "--grid", "theta=5:5:1",
+         "--curve-out", "{missing}/curve.csv"],
+    ], ids=["out", "curve-out"])
+    def test_unwritable_path_is_usage_error(self, argv, tmp_path, capsys):
+        missing = tmp_path / "missing"
+        assert main([a.format(missing=missing) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(missing) in err
+
+
+CHECK_NAMES = ["level_factor_identity", "theta_form_match", "recursion_vs_enumeration",
+               "consistency_propagated", "free_energy_symmetry"]
+
+
+def _shifted(route, eps):
+    return lambda *args: route(*args) + eps
+
+
+def _scaled(route, eps):
+    return lambda *args: route(*args) * (1.0 + eps)
+
+
+def _interior_shifted(route, eps):
+    def shifted(tree, params, boundary):
+        fields = route(tree, params, boundary)
+        h = fields.h.copy()
+        h[:tree.level_start[tree.depth]] += eps
+        return dataclasses.replace(fields, h=h)
+    return shifted
+
+
+def _u1_shifted(route, eps):
+    def shifted(params, branch="u3", n_max=30):
+        rep = route(params, branch, n_max)
+        if branch == "u1":
+            rep = dataclasses.replace(rep, f_extrapolated=rep.f_extrapolated + eps)
+        return rep
+    return shifted
+
+
+# (check, owner and name of one of its routes, perturbation, size).  A
+# FieldAssignment refuses NaN fields, so the NaN case of the consistency
+# check makes the enumeration side return NaN instead.
+PERTURBED_ROUTES = [
+    ("level_factor_identity", cli, "level_log_factor", _shifted, 1e-6),
+    ("theta_form_match", cli, "child_to_parent", _shifted, 1e-9),
+    ("recursion_vs_enumeration", cli, "log_partition_recursive", _scaled, 1e-8),
+    ("consistency_propagated", cli, "propagate_inward", _interior_shifted, 1e-6),
+    ("free_energy_symmetry", cli, "free_energy", _u1_shifted, 1e-6),
+    ("level_factor_identity", cli, "level_log_factor", _shifted, math.nan),
+    ("theta_form_match", cli, "child_to_parent", _shifted, math.nan),
+    ("recursion_vs_enumeration", cli, "log_partition_recursive", _scaled, math.nan),
+    ("consistency_propagated", exact_oracle, "check_consistency", _shifted, math.nan),
+    ("free_energy_symmetry", cli, "free_energy", _u1_shifted, math.nan),
+]
+
 
 class TestVerifyCommand:
     def test_passes_with_default_seed(self, tmp_path):
         out = tmp_path / "verify.json"
         assert main(["verify", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
-        assert doc["schema"] == 3
+        assert doc["schema"] == 4
         assert doc["all_pass"] is True
         names = {c["check_name"] for c in doc["checks"]}
         assert "level_factor_identity" in names
@@ -198,6 +258,21 @@ class TestVerifyCommand:
         assert "level_factor_identity_injected" in err
         doc = json.loads(out.read_text())
         assert doc["all_pass"] is False
+
+    def test_check_names(self):
+        assert [c["check_name"] for c in run_verification()["checks"]] == CHECK_NAMES
+
+    @pytest.mark.parametrize("name,owner,attr,perturb,eps", PERTURBED_ROUTES,
+                             ids=[f"{r[0]}-{r[4]}" for r in PERTURBED_ROUTES])
+    def test_each_check_can_fail(self, name, owner, attr, perturb, eps, monkeypatch,
+                                 tmp_path, capsys):
+        monkeypatch.setattr(owner, attr, perturb(getattr(owner, attr), eps))
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--out", str(out)]) == 1
+        assert name in capsys.readouterr().err
+        check = {c["check_name"]: c for c in json.loads(out.read_text())["checks"]}[name]
+        assert check["pass"] is False
+        assert (check["max_error"] is None) == math.isnan(eps)
 
 
 class TestBetaSweepCommand:
@@ -255,7 +330,7 @@ class TestGroundStateCommand:
         main(["ground-state", "--J", "1", "--J1", "1", "--grid", "beta=2:5:2",
               "--format", "json", "--out", str(out)])
         doc = json.loads(out.read_text())
-        assert doc["schema"] == 3
+        assert doc["schema"] == 4
         assert len(doc["rows"]) == 2
         assert doc["rows"][0]["regime"] == "three"
 
