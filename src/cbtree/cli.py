@@ -26,16 +26,19 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import sys
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
 from . import exact_oracle, ground_states
 from .free_energy import (
+    _level_log_factor,
     free_energy,
-    level_log_factor,
+    free_energy_betas,
     log_partition_recursive,
     pair_log_weights,
     zero_temperature_limit,
@@ -48,6 +51,7 @@ from .field_recursion import (
     critical_curve,
     propagate_inward,
     ti_fixed_points,
+    ti_fixed_points_betas,
     ti_fixed_points_grid,
     ti_map,
 )
@@ -119,23 +123,28 @@ def _fields(obj) -> dict:
 
 @dataclasses.dataclass(frozen=True)
 class _Table:
-    """Named columns and rows of cells; CSV text, or JSON records on demand."""
+    """Named columns and rows of cells; CSV text chunks, or JSON records on demand.
+
+    ``rows`` and ``lines`` may be generators: only the output written reads
+    them, once.  ``lines``, when given, yields the CSV rows as text in place
+    of one ``_cell`` per cell of ``rows``.
+    """
 
     columns: list[str]
-    rows: list
+    rows: Iterable
     comments: tuple[str, ...] = ()
-    row_format: str | None = None  # one % format per tuple row, not _cell per cell
+    lines: Iterable[str] | None = None
 
     @classmethod
     def of_record(cls, record: dict) -> "_Table":
         return cls(list(record), [list(record.values())])
 
-    def csv(self) -> str:
-        lines = [f"# {line}" for line in self.comments]
-        lines.append(",".join(self.columns))
-        lines.extend(map(self.row_format.__mod__, self.rows) if self.row_format
-                     else (",".join(_cell(v) for v in row) for row in self.rows))
-        return "\n".join(lines) + "\n"
+    def csv(self) -> Iterator[str]:
+        yield "".join(f"# {line}\n" for line in self.comments) + ",".join(self.columns) + "\n"
+        if self.lines is not None:
+            yield from self.lines
+        else:
+            yield "".join(",".join(map(_cell, row)) + "\n" for row in self.rows)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -156,19 +165,19 @@ def _json_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _write_output(path: str | None, text: str) -> None:
+def _write_output(path: str | None, chunks: Iterable[str]) -> None:
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
-    with open(path, "wb") as fh:
-        fh.write(text.encode("utf-8"))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(chunks)
 
 
 def _emit(args: argparse.Namespace, result: _Result) -> int:
     if args.fmt == "json":
         doc = {"schema": SCHEMA_VERSION, "command": args.command, **result.payload}
-        _write_output(args.out, json.dumps(doc, indent=2, sort_keys=True, allow_nan=False,
-                                           default=_json_default) + "\n")
+        _write_output(args.out, [json.dumps(doc, indent=2, sort_keys=True, allow_nan=False,
+                                            default=_json_default) + "\n"])
     else:
         for path, table in result.tables:
             _write_output(path, table.csv())
@@ -195,6 +204,21 @@ def cmd_fixed_points(args: argparse.Namespace) -> _Result:
     return _Result({"result": row}, [(args.out, _Table.of_record(row))])
 
 
+def _grid_rows(theta1s, thetas, regime, u1, u3):
+    """Phase-diagram row tuples, theta1-major; the rows share one float per axis value."""
+    for t1, tags, a, b in zip(theta1s, regime, u1, u3):
+        yield from zip(itertools.repeat(t1), thetas, map(REGIMES.__getitem__, tags), a, b)
+
+
+def _grid_lines(theta1s, thetas, regime, u1, u3):
+    """Phase-diagram CSV rows, one text chunk per theta1; each axis value is
+    formatted once, in the bytes ``_cell`` gives it."""
+    theta_cells = [_fmt(t) for t in thetas]
+    for t1, tags, a, b in zip(theta1s, regime, u1, u3):
+        row = _fmt(t1) + ",%s,%s,%.17g,%.17g\n"  # a formatted float holds no %
+        yield "".join(map(row.__mod__, zip(theta_cells, map(REGIMES.__getitem__, tags), a, b)))
+
+
 def cmd_phase_diagram(args: argparse.Namespace) -> _Result:
     grids = _parse_grid_specs(args.grid)
     theta1_grid = _grid(grids, "theta1")
@@ -204,9 +228,7 @@ def cmd_phase_diagram(args: argparse.Namespace) -> _Result:
         curve_out = args.out + ".curve"
 
     regime, u1, u3 = ti_fixed_points_grid(theta1_grid, theta_grid)
-    grid_rows, thetas = [], theta_grid.tolist()  # the rows share one float per axis value
-    for t1, tags, a, b in zip(theta1_grid.tolist(), regime.tolist(), u1.tolist(), u3.tolist()):
-        grid_rows.extend(zip([t1] * len(thetas), thetas, map(REGIMES.__getitem__, tags), a, b))
+    cells = (theta1_grid.tolist(), theta_grid.tolist(), regime.tolist(), u1.tolist(), u3.tolist())
 
     pole = math.sqrt(3.0)
     curve_points = [float(t1) for t1 in theta1_grid if t1 > pole + CURVE_POLE_TOL]
@@ -214,8 +236,8 @@ def cmd_phase_diagram(args: argparse.Namespace) -> _Result:
     if skipped:
         print(f"warning: skipped {skipped} theta1 grid points at or below the "
               f"sqrt(3) pole of the critical curve", file=sys.stderr)
-    grid = _Table(["theta1", "theta", "regime", "u1", "u3"], grid_rows,
-                  row_format="%.17g,%.17g,%s,%.17g,%.17g")
+    grid = _Table(["theta1", "theta", "regime", "u1", "u3"], _grid_rows(*cells),
+                  lines=_grid_lines(*cells))
     curve = _Table(["theta1", "theta_c", "j1_beta", "j_beta"], critical_curve(curve_points))
     return _Result({"rows": grid, "curve": curve}, [(args.out, grid), (curve_out, curve)])
 
@@ -246,27 +268,6 @@ def _beta_scan(args: argparse.Namespace) -> tuple[np.ndarray, dict, str]:
     return _grid(grids, "beta"), {"J": args.J, "J1": args.J1, "depth": args.depth}, header
 
 
-def _beta_sweep_row(J: float, J1: float, beta: float, tree):
-    params = ModelParams(J=J, J1=J1, beta=float(beta))
-    fps = ti_fixed_points(params)
-    rep3 = free_energy(params, "u3")
-    rep1 = free_energy(params, "u1")
-    mass_plus = None
-    if tree is not None and fps.regime == REGIME_THREE:
-        mass_plus = exact_oracle.plus_minus_mass(tree, params, fps.h3)[0]
-    return (
-        float(beta),
-        fps.regime,
-        fps.u1,
-        fps.u3,
-        rep3.f_extrapolated,
-        rep1.f_extrapolated,
-        abs(rep3.f_extrapolated - rep1.f_extrapolated),
-        ground_states.root_magnetization(fps.u3),
-        mass_plus,
-    )
-
-
 _SWEEP_COLUMNS = ["beta", "regime", "u1", "u3", "F_u3", "F_u1", "F_sym_check",
                   "root_prob", "mass_plus"]
 
@@ -280,7 +281,18 @@ def cmd_beta_sweep(args: argparse.Namespace) -> _Result:
         print(f"warning: depth {args.depth} beyond the enumeration cap; "
               f"mass_plus column left empty", file=sys.stderr)
 
-    rows = [_beta_sweep_row(args.J, args.J1, b, tree) for b in betas]
+    regime, u1, u3 = ti_fixed_points_betas(args.J, args.J1, betas)
+    f3 = free_energy_betas(args.J, args.J1, betas, u3)
+    f1 = free_energy_betas(args.J, args.J1, betas, u1)
+    rows = []
+    for beta, tag, u1_b, u3_b, f3_b, f1_b in zip(betas.tolist(), regime.tolist(), u1.tolist(),
+                                                 u3.tolist(), f3.tolist(), f1.tolist()):
+        mass_plus = None
+        if tree is not None and REGIMES[tag] == REGIME_THREE:
+            point = ModelParams(J=args.J, J1=args.J1, beta=beta)
+            mass_plus = exact_oracle.plus_minus_mass(tree, point, 0.5 * math.log(u3_b))[0]
+        rows.append((beta, REGIMES[tag], u1_b, u3_b, f3_b, f1_b, abs(f3_b - f1_b),
+                     ground_states.root_magnetization(u3_b), mass_plus))
     table = _Table(_SWEEP_COLUMNS, rows, (header, " ".join(_SWEEP_COLUMNS)))
     return _Result({"params": params, "rows": table}, [(args.out, table)])
 
@@ -315,10 +327,10 @@ def _in_regime_params(rng) -> ModelParams:
 def _level_factor_errors(rng, draws):
     bj, bj1 = rng.uniform(-10, 10, (2, draws))
     hy, hz = rng.uniform(-10, 10, (2, draws))
-    for j, j1, y, z in zip(bj, bj1, hy, hz):
-        p = ModelParams(J=j, J1=j1, beta=1.0)
-        w_up, w_dn = pair_log_weights(p, y, z)
-        yield abs(math.exp(level_log_factor(p, y, z) - 0.5 * (w_up + w_dn)) - 1.0)
+    levels = _level_log_factor(bj, bj1, hy, hz)  # beta = 1: beta*J is J itself
+    for j, j1, y, z, level in zip(bj, bj1, hy, hz, levels.tolist()):
+        w_up, w_dn = pair_log_weights(ModelParams(J=j, J1=j1, beta=1.0), y, z)
+        yield abs(math.exp(level - 0.5 * (w_up + w_dn)) - 1.0)
 
 
 def _theta_form_errors(rng, draws):

@@ -13,10 +13,11 @@ raises once that arithmetic leaves the float range: ZeroDivisionError when
 theta underflows to 0, and OverflowError when theta or theta1 overflows or
 the root sum is +inf (theta1**2 overflows) or inf - inf (theta1**2 and
 theta1/theta both do).  ``phase_predicate`` returns True at a root sum
-of +inf and raises on the rest.  ``ti_fixed_points_grid`` equals
-``ti_fixed_points`` bit for bit on a whole grid: numpy's exp and log may differ
-from ``math`` in the last ulp, so it exponentiates in ``math`` once per axis
-value and does the rest with correctly rounded + - * / and sqrt, in order.
+of +inf and raises on the rest.  ``ti_fixed_points_grid`` (a theta grid) and
+``ti_fixed_points_betas`` (a beta axis) equal ``ti_fixed_points`` bit for bit:
+numpy's exp and log may differ from ``math`` in the last ulp, so they
+exponentiate in ``math`` once per axis value and do the rest with correctly
+rounded + - * / and sqrt, in order.
 
 Constant fields u reduce the recursion to a scalar map whose fixed points
 are u = 1 together with the roots of u**2 + (1 + alpha)u + 1 = 0 with
@@ -115,13 +116,16 @@ def _lse4_array(*terms) -> np.ndarray:
     return np.logaddexp.reduce(np.stack(np.broadcast_arrays(*terms)), axis=0)
 
 
-def _lse(values) -> float:
-    """log(sum(exp(values))) over a whole array, shifted by its maximum."""
+def _lse(values):
+    """log(sum(exp(values))) over the last axis, shifted by its maximum; a
+    float for 1-D input."""
     a = np.asarray(values, dtype=np.float64)
-    m = float(np.max(a))
-    if not math.isfinite(m):
-        return m
-    return m + float(np.log(np.sum(np.exp(a - m))))
+    m = np.max(a, axis=-1, keepdims=True)
+    with np.errstate(invalid="ignore"):
+        out = np.log(np.sum(np.exp(a - m), axis=-1))
+    m = m[..., 0]
+    out = np.where(np.isfinite(m), m + out, m)
+    return float(out) if out.ndim == 0 else out
 
 
 def _pair_log_weights(a1, aj, hy, hz, lse):
@@ -249,42 +253,74 @@ def ti_fixed_points(params: ModelParams) -> TIFixedPoints:
     return fps
 
 
-def _axis_terms(axis) -> np.ndarray:
-    """theta_exp = theta1_exp and beta*J = beta*J1 of ``from_thetas(x, x)`` per x, else NaN."""
-    out = np.full((2, len(axis)), np.nan)
+def _axis_terms(params_of, axis) -> np.ndarray:
+    """theta_exp, theta1_exp, 2*beta*J1 and beta*J of ``params_of(x)`` per axis
+    value x, in ``math`` as ``ti_fixed_points`` takes them; NaN where it raises."""
+    out = np.full((4, len(axis)), np.nan)
     for k, x in enumerate(axis):
         with contextlib.suppress(ValueError, ArithmeticError):
-            p = ModelParams.from_thetas(float(x), float(x))
-            out[:, k] = p.theta_exp, p.beta * p.J
+            p = params_of(float(x))
+            out[:, k] = p.theta_exp, p.theta1_exp, 2.0 * p.beta * p.J1, p.beta * p.J
     return out
 
 
 @np.errstate(all="ignore")
+def _solve_constant(theta, theta1, a1, aj):
+    """Regime index into REGIMES, u1, u3 and a flag per cell over broadcast
+    (theta, theta1, 2*beta*J1, beta*J) arrays.
+
+    Unflagged cells equal ``ti_fixed_points`` bit for bit.  A cell is flagged
+    when the scalar face could reject it: a NaN input or root sum, theta = 0,
+    an infinite u3, or a failed u1, u2 or u3 residual check.
+    """
+    regime, t = _classify(theta, theta1)
+    u3 = np.where(regime == 2, _larger_root(t, np.sqrt), 1.0)
+    u1 = 1.0 / u3
+    u = np.stack([u1, np.ones_like(u1), u3])
+    h = 0.5 * np.log(u)
+    w_up, w_down = _pair_log_weights(a1, aj, h, h, _lse4_array)
+    ok = np.abs(np.exp(w_up - w_down) - u) <= RESIDUAL_TOL * np.maximum(1.0, u)
+    bad = ~ok.all(axis=0) | np.isnan(t) | np.isinf(u3) | (theta == 0.0)
+    return regime, u1, u3, bad
+
+
 def ti_fixed_points_grid(theta1_grid, theta_grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Regime index into REGIMES, u1 and u3 per cell, theta1-major, each equal
     bit for bit to ``ti_fixed_points(ModelParams.from_thetas(theta, theta1))``.
 
-    A cell with a rejected axis value, a NaN root sum, theta = 0, an infinite
-    u3 or a failed u1, u2 or u3 residual check is solved again by that scalar
-    face, in row-major order: it raises its error here or, accepting the
-    cell, confirms the values already held.
+    A flagged cell (see ``_solve_constant``; a rejected axis value is NaN) is
+    solved again by that scalar face, in row-major order: it raises its error
+    here or, accepting the cell, confirms the values already held.
     """
-    (th1, j1), (th, aj) = _axis_terms(theta1_grid), _axis_terms(theta_grid)
+    def diagonal(x):
+        return ModelParams.from_thetas(x, x)
+
+    _, th1, a1, _ = _axis_terms(diagonal, theta1_grid)
+    th, _, _, aj = _axis_terms(diagonal, theta_grid)
     regime = np.empty((len(th1), len(th)), dtype=np.int8)
     u1, u3 = np.empty((2, *regime.shape))
     step = max(1, 4096 // max(1, len(th)))  # rows per block of about 4096 cells
     for lo in range(0, len(th1), step):
         rows = slice(lo, lo + step)
-        regime[rows], t = _classify(th, th1[rows, None])
-        u3[rows] = np.where(regime[rows] == 2, _larger_root(t, np.sqrt), 1.0)
-        u1[rows] = 1.0 / u3[rows]
-        u = np.stack([u1[rows], np.ones_like(t), u3[rows]])
-        h = 0.5 * np.log(u)
-        w_up, w_down = _pair_log_weights(2.0 * j1[rows, None], aj, h, h, _lse4_array)
-        ok = np.abs(np.exp(w_up - w_down) - u) <= RESIDUAL_TOL * np.maximum(1.0, u)
-        bad = ~ok.all(axis=0) | np.isnan(t) | np.isinf(u3[rows]) | (th == 0.0)
+        regime[rows], u1[rows], u3[rows], bad = _solve_constant(th, th1[rows, None],
+                                                                a1[rows, None], aj)
         for i, j in np.argwhere(bad) + (lo, 0):
             ti_fixed_points(ModelParams.from_thetas(float(theta_grid[j]), float(theta1_grid[i])))
+    return regime, u1, u3
+
+
+def ti_fixed_points_betas(J: float, J1: float, betas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Regime index into REGIMES, u1 and u3 per beta, each equal bit for bit to
+    ``ti_fixed_points(ModelParams(J, J1, beta))``.
+
+    A flagged beta (see ``_solve_constant``; one whose params or exps raise
+    is NaN) is solved again by that scalar face, in grid order, so the first
+    error is the one a per-beta loop raises.
+    """
+    theta, theta1, a1, aj = _axis_terms(lambda b: ModelParams(J=J, J1=J1, beta=b), betas)
+    regime, u1, u3, bad = _solve_constant(theta, theta1, a1, aj)
+    for k in np.flatnonzero(bad):
+        ti_fixed_points(ModelParams(J=J, J1=J1, beta=float(betas[k])))
     return regime, u1, u3
 
 

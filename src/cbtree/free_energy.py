@@ -11,7 +11,10 @@ identity the test suite hammers on.
 With the base ln Z_1 enumerated directly (16 terms on the full tree, 8 on
 the half tree), telescoping the factors reproduces ln Z_n exactly.  The
 free energy is the n -> infinity limit of -ln Z_n / (3 * beta * 2**n); for
-a constant field h it equals -level_log_factor(h, h) / (2 * beta).
+a constant field h it equals -level_log_factor(h, h) / (2 * beta).  The
+kernels and the depth-1 base run on arrays of points as well, which is how
+``free_energy_betas`` gives a whole beta axis the bits ``free_energy`` gives
+each beta.
 
 Everything beta-dependent flows through ``ln2cosh``; beta = 50 stays well
 inside float range.
@@ -57,6 +60,10 @@ def log_cosh_cross(shift, x, y):
     return 0.5 * (ln2cosh(np.asarray(x) - shift) + ln2cosh(np.asarray(y) + shift))
 
 
+def _effective_field(bj, x):
+    return 0.5 * (ln2cosh(x + bj) - ln2cosh(x - bj))
+
+
 def effective_field(x, params: ModelParams):
     """atanh(tanh(beta*J) * tanh(x)), the field transmitted through one edge.
 
@@ -64,12 +71,21 @@ def effective_field(x, params: ModelParams):
     the same function without the tanh round trip; odd in x and bounded by
     min(|x|, |beta*J|).
     """
-    bj = params.beta * params.J
-    x = np.asarray(x, dtype=np.float64)
-    out = 0.5 * (ln2cosh(x + bj) - ln2cosh(x - bj))
+    out = _effective_field(params.beta * params.J, np.asarray(x, dtype=np.float64))
     if np.ndim(out) == 0:
         return float(out)
     return out
+
+
+def _level_log_factor(bj, bj1, hy, hz):
+    """``level_log_factor`` on broadcastable arrays of beta*J, beta*J1 and the
+    two child fields; numpy on arrays gives the bits it gives on 0-d arrays."""
+    return (
+        log_cosh_even(bj, bj1 + hz)
+        + log_cosh_even(bj, -bj1 + hz)
+        + log_cosh_cross(bj1, hy + _effective_field(bj, -bj1 + hz),
+                         hy + _effective_field(bj, bj1 + hz))
+    )
 
 
 def level_log_factor(params: ModelParams, h_y, h_z):
@@ -78,43 +94,40 @@ def level_log_factor(params: ModelParams, h_y, h_z):
     Kernel form; numerically identical to half the sum of the two
     conditional child-pair log weights.
     """
-    bj = params.beta * params.J
-    bj1 = params.beta * params.J1
-    hy = np.asarray(h_y, dtype=np.float64)
-    hz = np.asarray(h_z, dtype=np.float64)
-    out = (
-        log_cosh_even(bj, bj1 + hz)
-        + log_cosh_even(bj, -bj1 + hz)
-        + log_cosh_cross(
-            bj1,
-            hy + effective_field(-bj1 + hz, params),
-            hy + effective_field(bj1 + hz, params),
-        )
-    )
+    out = _level_log_factor(params.beta * params.J, params.beta * params.J1,
+                            np.asarray(h_y, dtype=np.float64),
+                            np.asarray(h_z, dtype=np.float64))
     if np.ndim(out) == 0:
         return float(out)
     return out
 
 
-def _ln_z1(params: ModelParams, mode: str, child_fields) -> float:
+def _z1_terms(n_children: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sibling-pair sum, edge sum and child spins of each depth-1 term, root
+    spin up first, children in ``itertools.product`` order."""
+    terms = [(sum(a * b for a, b in itertools.combinations(spins, 2)), s_root * sum(spins), spins)
+             for s_root in (1, -1) for spins in itertools.product((1, -1), repeat=n_children)]
+    return tuple(np.array(column, dtype=np.float64) for column in zip(*terms))
+
+
+_Z1_TERMS = {"full": _z1_terms(3), "half": _z1_terms(2)}
+
+
+def _ln_z1(beta, J: float, J1: float, mode: str, child_fields):
     """Depth-1 log partition function by direct enumeration.
 
     The root of a full tree has three children, which the two-child
     recursion never touches; enumerating the 16 (full) or 8 (half) terms
-    keeps the base exact.
+    keeps the base exact.  ``beta`` and each child field are floats, or
+    arrays of one shape for one base per point.
     """
-    hs = [float(v) for v in child_fields]
-    n_children = 3 if mode == "full" else 2
-    if len(hs) != n_children:
-        raise ValueError(f"expected {n_children} child fields, got {len(hs)}")
-    expos = []
-    for s_root in (1, -1):
-        for spins in itertools.product((1, -1), repeat=n_children):
-            pair_sum = sum(a * b for a, b in itertools.combinations(spins, 2))
-            edge_sum = s_root * sum(spins)
-            field = sum(h * s for h, s in zip(hs, spins))
-            expos.append(params.beta * (params.J * pair_sum + params.J1 * edge_sum) + field)
-    return _lse(expos)
+    pair, edge, spins = _Z1_TERMS[mode]
+    if len(child_fields) != spins.shape[1]:
+        raise ValueError(f"expected {spins.shape[1]} child fields, got {len(child_fields)}")
+    field = 0.0
+    for h, s in zip(child_fields, spins.T):  # one child at a time, as the float sum runs
+        field = field + np.multiply.outer(h, s)
+    return _lse(np.multiply.outer(beta, J * pair + J1 * edge) + field)
 
 
 def log_partition_recursive(params: ModelParams, fields: FieldAssignment, depth: int | None = None) -> float:
@@ -128,7 +141,7 @@ def log_partition_recursive(params: ModelParams, fields: FieldAssignment, depth:
     if not 1 <= n <= tree.depth:
         raise ValueError(f"depth must be in [1, {tree.depth}], got {n}")
     h = fields.h
-    ln_z = _ln_z1(params, tree.mode, h[list(tree.vertices_at(1))])
+    ln_z = _ln_z1(params.beta, params.J, params.J1, tree.mode, h[list(tree.vertices_at(1))])
     for m in range(1, n):
         kids = tree.level_start[m + 1]  # level m + 1 opens with each parent's first two children
         end = kids + 2 * tree.level_size(m)
@@ -161,34 +174,68 @@ class FreeEnergyReport:
     converged: bool
 
 
-def free_energy(params: ModelParams, branch: str = "u3", n_max: int = 30) -> FreeEnergyReport:
-    """Free energy of one constant-field branch, with its finite-n record."""
+def _constant_field_sequence(beta, J: float, J1: float, h, n):
+    """Level rate, ln Z_n and 3*beta*2**n of the constant field h on the full
+    tree, so that f_n = -ln Z_n / (3*beta*2**n).
+
+    ``beta`` and ``h`` are floats or arrays of one shape; ``n`` broadcasts
+    against them.  Where 2**n carries ln Z_n or 3*beta*2**n beyond the float
+    range, the value is infinite.
+    """
+    rate = _level_log_factor(beta * J, beta * J1, h, h)
+    ln_z1 = _ln_z1(beta, J, J1, "full", (h, h, h))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ln_z = ln_z1 + 3.0 * (np.ldexp(1.0, n - 1) - 1.0) * rate
+        return rate, ln_z, 3.0 * beta * np.ldexp(1.0, n)
+
+
+N_MAX = 30  # default length of the f_n sequence
+
+
+def free_energy(params: ModelParams, branch: str = "u3", n_max: int = N_MAX) -> FreeEnergyReport:
+    """Free energy of one constant-field branch, with its finite-n record.
+
+    Refuses an ``n_max`` whose 2**n_max carries ln Z_n or 3*beta*2**n beyond
+    the float range (ValueError).
+    """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     fps = ti_fixed_points(params)
     u = fps.branch(branch)
     h = 0.5 * math.log(u)
-    rate = level_log_factor(params, h, h)
-    ln_z1 = _ln_z1(params, "full", (h, h, h))
-
-    ln_z = [ln_z1 + 3.0 * (2 ** (n - 1) - 1) * rate for n in range(1, n_max + 1)]
-    f_n = [-z / (3.0 * params.beta * 2**n) for n, z in zip(range(1, n_max + 1), ln_z)]
+    # 2**n is inf from n = maxexp on, so a longer sequence is refused at maxexp.
+    n = np.arange(1, min(n_max, np.finfo(np.float64).maxexp) + 1)
+    rate, ln_z, norm = _constant_field_sequence(params.beta, params.J, params.J1, h, n)
+    if not (math.isfinite(ln_z[-1]) and math.isfinite(norm[-1])):
+        raise ValueError(f"n_max={n_max} carries ln Z_n or 3*beta*2**n beyond the float range")
+    f_n = (-ln_z / norm).tolist()
     f_extrapolated = 2.0 * f_n[-1] - f_n[-2]
     tail_gap = abs(f_n[-1] - f_n[-2])
     converged = tail_gap <= 1e-9 * max(1.0, abs(f_extrapolated))
+    rate = float(rate)
     return FreeEnergyReport(
         branch=branch,
         u_star=u,
         h_star=h,
         beta=params.beta,
         level_rate=rate,
-        ln_z=tuple(ln_z),
+        ln_z=tuple(ln_z.tolist()),
         f_n=tuple(f_n),
         f_extrapolated=f_extrapolated,
         f_const_field=-rate / (2.0 * params.beta),
         tail_gap=tail_gap,
         converged=converged,
     )
+
+
+def free_energy_betas(J: float, J1: float, betas, u) -> np.ndarray:
+    """``free_energy(ModelParams(J, J1, beta), branch).f_extrapolated`` per
+    beta, bit for bit, where ``u`` holds the branch's fixed point per beta."""
+    h = np.array([0.5 * math.log(x) for x in np.asarray(u, dtype=np.float64).tolist()])
+    betas = np.asarray(betas, dtype=np.float64)
+    _, ln_z, norm = _constant_field_sequence(betas, J, J1, h, np.array([[N_MAX - 1], [N_MAX]]))
+    f_n = -ln_z / norm
+    return 2.0 * f_n[1] - f_n[0]
 
 
 def asymptotic_field_slope(J: float, J1: float) -> float:

@@ -12,10 +12,13 @@ no connected vertex set has a larger sibling boundary than edge boundary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import exact_oracle
-from .field_recursion import REGIME_THREE, ti_fixed_points
+from .field_recursion import REGIME_THREE, REGIMES, ti_fixed_points_betas
 from .model import ModelParams, stat_maxima
 from .topology import boundary_census, build_tree
 
@@ -73,25 +76,25 @@ def ground_state_scan(J: float, J1: float, beta_grid, depth: int = 2) -> list[Gr
         raise ValueError(f"mass columns need enumeration; depth capped at "
                          f"{exact_oracle.FULL_ENUM_DEPTH_CAP}")
     tree = build_tree(depth, "full")
-
-    def one(beta):
-        params = ModelParams(J=J, J1=J1, beta=float(beta))
-        fps = ti_fixed_points(params)
+    betas = np.asarray(beta_grid, dtype=np.float64)
+    regime, u1, u3 = ti_fixed_points_betas(J, J1, betas)
+    rows = []
+    for beta, tag, u1_b, u3_b in zip(betas.tolist(), regime.tolist(), u1.tolist(), u3.tolist()):
         mass_plus = mass_minus = None
-        if fps.regime == REGIME_THREE:
-            mass_plus = exact_oracle.plus_minus_mass(tree, params, fps.h3)[0]
-            mass_minus = exact_oracle.plus_minus_mass(tree, params, fps.h1)[1]
-        return GroundScanRow(
-            beta=float(beta),
-            regime=fps.regime,
-            u1=fps.u1,
-            u3=fps.u3,
-            root_prob=root_magnetization(fps.u3),
+        if REGIMES[tag] == REGIME_THREE:
+            params = ModelParams(J=J, J1=J1, beta=beta)
+            mass_plus = exact_oracle.plus_minus_mass(tree, params, 0.5 * math.log(u3_b))[0]
+            mass_minus = exact_oracle.plus_minus_mass(tree, params, 0.5 * math.log(u1_b))[1]
+        rows.append(GroundScanRow(
+            beta=beta,
+            regime=REGIMES[tag],
+            u1=u1_b,
+            u3=u3_b,
+            root_prob=root_magnetization(u3_b),
             mass_plus=mass_plus,
             mass_minus=mass_minus,
-        )
+        ))
 
-    rows = [one(beta) for beta in beta_grid]
     in_regime = [r for r in rows if r.mass_plus is not None]
     for prev, cur in zip(in_regime, in_regime[1:]):
         if cur.mass_plus < prev.mass_plus - MONOTONE_SLACK:

@@ -2,11 +2,17 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cbtree import cli, exact_oracle, field_recursion
+from cbtree import cli, exact_oracle, field_recursion, ground_states
+from cbtree.field_recursion import REGIME_THREE, ti_fixed_points
+from cbtree.free_energy import free_energy, level_log_factor, pair_log_weights
 from cbtree.cli import main, run_verification
 from cbtree.model import ModelParams
+from cbtree.topology import build_tree
 
 TWO_FIVE_ARGS = ["--theta", "5", "--theta1", "2"]
 
@@ -154,11 +160,15 @@ class TestPhaseDiagramCommand:
 
 class TestOutput:
     def test_row_format_writes_the_cell_bytes(self):
-        rows = [(2.0, 1 / 3, "three", 5e-324, 1e22), (-0.0, math.inf, "unique", -math.inf,
-                                                      math.nan), (1e-320, 0.1, "x", 1.0, 7.0)]
-        columns = ["a", "b", "c", "d", "e"]
-        by_cell = cli._Table(columns, rows).csv()
-        assert cli._Table(columns, rows, row_format="%.17g,%.17g,%s,%.17g,%.17g").csv() == by_cell
+        # The phase-diagram rows, formatted per row, against one _cell per cell.
+        cells = ([2.0, -0.0, 1e-320], [1 / 3, math.inf], [[2, 0], [0, 1], [1, 2]],
+                 [[5e-324, -math.inf], [math.nan, 1.0], [7.0, 0.1]],
+                 [[1e22, math.nan], [-0.0, 1.0], [1e-320, 1.7976931348623157e308]])
+        columns = ["theta1", "theta", "regime", "u1", "u3"]
+        by_cell = "".join(cli._Table(columns, list(cli._grid_rows(*cells))).csv())
+        by_row = "".join(cli._Table(columns, [], lines=cli._grid_lines(*cells)).csv())
+        assert by_row == by_cell
+        assert by_cell.count("\n") == 1 + 3 * 2
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_json_is_refused(self, monkeypatch, capsys, tmp_path, value):
@@ -219,12 +229,12 @@ def _u1_shifted(route, eps):
 # FieldAssignment refuses NaN fields, so the NaN case of the consistency
 # check makes the enumeration side return NaN instead.
 PERTURBED_ROUTES = [
-    ("level_factor_identity", cli, "level_log_factor", _shifted, 1e-6),
+    ("level_factor_identity", cli, "_level_log_factor", _shifted, 1e-6),
     ("theta_form_match", cli, "child_to_parent", _shifted, 1e-9),
     ("recursion_vs_enumeration", cli, "log_partition_recursive", _scaled, 1e-8),
     ("consistency_propagated", cli, "propagate_inward", _interior_shifted, 1e-6),
     ("free_energy_symmetry", cli, "free_energy", _u1_shifted, 1e-6),
-    ("level_factor_identity", cli, "level_log_factor", _shifted, math.nan),
+    ("level_factor_identity", cli, "_level_log_factor", _shifted, math.nan),
     ("theta_form_match", cli, "child_to_parent", _shifted, math.nan),
     ("recursion_vs_enumeration", cli, "log_partition_recursive", _scaled, math.nan),
     ("consistency_propagated", exact_oracle, "check_consistency", _shifted, math.nan),
@@ -262,6 +272,19 @@ class TestVerifyCommand:
     def test_check_names(self):
         assert [c["check_name"] for c in run_verification()["checks"]] == CHECK_NAMES
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_batched_level_factor_matches_per_draw(self, seed):
+        def per_draw(rng, draws):
+            bj, bj1 = rng.uniform(-10, 10, (2, draws))
+            hy, hz = rng.uniform(-10, 10, (2, draws))
+            for j, j1, y, z in zip(bj, bj1, hy, hz):
+                p = ModelParams(J=j, J1=j1, beta=1.0)
+                w_up, w_dn = pair_log_weights(p, y, z)
+                yield abs(math.exp(level_log_factor(p, y, z) - 0.5 * (w_up + w_dn)) - 1.0)
+
+        batched = list(cli._level_factor_errors(np.random.default_rng(seed), 1000))
+        assert batched == list(per_draw(np.random.default_rng(seed), 1000))
+
     @pytest.mark.parametrize("name,owner,attr,perturb,eps", PERTURBED_ROUTES,
                              ids=[f"{r[0]}-{r[4]}" for r in PERTURBED_ROUTES])
     def test_each_check_can_fail(self, name, owner, attr, perturb, eps, monkeypatch,
@@ -273,6 +296,60 @@ class TestVerifyCommand:
         check = {c["check_name"]: c for c in json.loads(out.read_text())["checks"]}[name]
         assert check["pass"] is False
         assert (check["max_error"] is None) == math.isnan(eps)
+
+
+def reference_sweep_row(J, J1, beta, tree):
+    """One ``beta-sweep`` row from the scalar faces: one fixed-point solve and
+    two ``free_energy`` reports per beta."""
+    params = ModelParams(J=J, J1=J1, beta=float(beta))
+    fps = ti_fixed_points(params)
+    f3 = free_energy(params, "u3").f_extrapolated
+    f1 = free_energy(params, "u1").f_extrapolated
+    mass_plus = None
+    if tree is not None and fps.regime == REGIME_THREE:
+        mass_plus = exact_oracle.plus_minus_mass(tree, params, fps.h3)[0]
+    return (float(beta), fps.regime, fps.u1, fps.u3, f3, f1, abs(f3 - f1),
+            ground_states.root_magnetization(fps.u3), mass_plus)
+
+
+def _critical_beta(J, J1):
+    """A beta in (0.01, 60) where the three-solution regime starts or ends, or None."""
+    def three(beta):
+        try:
+            return ti_fixed_points(ModelParams(J=J, J1=J1, beta=beta)).regime == REGIME_THREE
+        except (ValueError, ArithmeticError):
+            return None
+
+    lo, hi = 0.01, 60.0
+    if None in (three(lo), three(hi)) or three(lo) == three(hi):
+        return None
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if three(mid) == three(lo) else (lo, mid)
+    return lo
+
+
+@st.composite
+def sweep_grids(draw):
+    """(J, J1, beta grid spec, depth): plain grids, grids that cross the
+    critical curve within or near the degeneracy band, and grids that reach
+    the float-overflow errors."""
+    J = draw(st.floats(-3.0, 3.0))
+    J1 = draw(st.floats(-3.0, 3.0))
+    depth = draw(st.sampled_from([1, 2, 4]))
+    count = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["plain", "critical", "overflow"]))
+    lo, hi = draw(st.floats(0.01, 2.0)), draw(st.floats(2.0, 60.0))
+    if kind == "critical":
+        beta_c = _critical_beta(J, J1)
+        if beta_c is not None:
+            width = draw(st.sampled_from([1e-15, 1e-14, 1e-13, 1e-12, 1e-9, 1e-3]))
+            lo, hi = beta_c * (1.0 - width), beta_c * (1.0 + width)
+    elif kind == "overflow":
+        hi = draw(st.floats(100.0, 2000.0))
+    if count > 1 and not hi > lo:
+        count = 1
+    return J, J1, f"beta={lo!r}:{hi!r}:{count}", depth
 
 
 class TestBetaSweepCommand:
@@ -311,6 +388,24 @@ class TestBetaSweepCommand:
 
     def test_requires_couplings(self):
         assert main(["beta-sweep", "--grid", "beta=1:2:2"]) == 2
+
+    @settings(max_examples=150, deadline=None)
+    @given(sweep_grids())
+    def test_rows_match_per_beta_solve(self, sweep):
+        J, J1, spec, depth = sweep
+        args = cli._build_parser().parse_args(["beta-sweep", f"--J={J!r}", f"--J1={J1!r}",
+                                               "--grid", spec, "--depth", str(depth)])
+        betas = cli._parse_grid_specs(args.grid)["beta"]
+        tree = build_tree(depth, "full") if depth <= exact_oracle.FULL_ENUM_DEPTH_CAP else None
+        try:
+            expected = [reference_sweep_row(J, J1, b, tree) for b in betas]
+        except (ValueError, ArithmeticError) as exc:
+            with pytest.raises(type(exc)) as info:
+                cli.cmd_beta_sweep(args)
+            assert type(info.value) is type(exc) and str(info.value) == str(exc)
+            return
+        rows = cli.cmd_beta_sweep(args).tables[0][1].rows
+        assert [list(map(repr, r)) for r in rows] == [list(map(repr, r)) for r in expected]
 
 
 class TestGroundStateCommand:

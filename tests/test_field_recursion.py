@@ -14,6 +14,7 @@ from cbtree.field_recursion import (
     phase_predicate,
     propagate_inward,
     ti_fixed_points,
+    ti_fixed_points_betas,
     ti_fixed_points_grid,
     ti_map,
 )
@@ -382,3 +383,32 @@ class TestIntervalCheck:
         assert ti_map(TWO_FIVE, fps.u3) == pytest.approx(fps.u3, abs=1e-12)
         assert ti_map(TWO_FIVE, 1.0) == pytest.approx(1.0, abs=1e-14)
 
+
+
+class TestTIFixedPointsBetas:
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-400.0, 400.0), st.floats(-400.0, 400.0),
+           st.lists(st.one_of(st.floats(1e-3, 60.0), st.floats(60.0, 1e4),
+                              st.sampled_from([0.0, -1.0, math.nan, math.inf, 5e-324])),
+                    min_size=1, max_size=6))
+    def test_matches_scalar_face_and_its_errors(self, J, J1, betas):
+        expected = []
+        try:
+            for b in betas:
+                fps = ti_fixed_points(ModelParams(J=J, J1=J1, beta=b))
+                expected.append((fps.regime, fps.u1, fps.u3))
+        except (ValueError, ArithmeticError) as exc:
+            with pytest.raises(type(exc)) as info:
+                ti_fixed_points_betas(J, J1, betas)
+            assert type(info.value) is type(exc) and str(info.value) == str(exc)
+            return
+        regime, u1, u3 = ti_fixed_points_betas(J, J1, betas)
+        got = list(zip([REGIMES[i] for i in regime.tolist()], u1.tolist(), u3.tolist()))
+        assert got == expected  # positive finite floats: bit for bit
+
+    def test_first_error_in_grid_order(self):
+        # beta = 67 overflows theta1**2; math.exp(2*beta*J1) overflows only at 100.
+        with pytest.raises(OverflowError, match="u3 is infinite"):
+            ti_fixed_points_betas(1.0, 5.0, [1.0, 34.0, 67.0, 100.0])
+        with pytest.raises(OverflowError, match="math range error"):
+            ti_fixed_points_betas(1.0, 5.0, [1.0, 100.0, 67.0])

@@ -283,6 +283,15 @@ class TestFreeEnergy:
         with pytest.raises(ValueError):
             free_energy(TWO_FIVE, "u9")
 
+    def test_n_max_within_float_range(self):
+        # At beta = 1, ln Z_n overflows from n = 1022 and 3*beta*2**n from n = 1023.
+        params = ModelParams(J=1.0, J1=1.0, beta=1.0)
+        rep = free_energy(params, "u3", n_max=1021)
+        assert all(map(math.isfinite, rep.ln_z + rep.f_n))
+        for n_max in (1022, 1023, 1024, 1025, 10**12):
+            with pytest.raises(ValueError, match=f"n_max={n_max} "):
+                free_energy(params, "u3", n_max=n_max)
+
 
 class TestAsymptoticFieldSlope:
     def test_examples(self):

@@ -54,6 +54,9 @@ CASES = {
     "free_energy_closed_form": ["free-energy", "--J", "1", "--J1", "1", "--beta", "20",
                                 "--n-max", "4", "--experimental-closed-form",
                                 "--format", "json"],
+    # 3*beta*2**n overflows at n = 1023: refused rather than printed as nan.
+    "free_energy_n_max_overflow": ["free-energy", "--J", "1", "--J1", "1", "--beta", "1",
+                                   "--n-max", "1023"],
     "beta_sweep_out": ["beta-sweep", "--J", "1", "--J1", "1", "--grid", "beta=0.1:10:4",
                        "--depth", "2", "--out", "{out}"],
     "beta_sweep_depth3_json": ["beta-sweep", "--J", "0.3", "--J1", "0.7",
@@ -61,6 +64,11 @@ CASES = {
     "beta_sweep_beyond_cap": ["beta-sweep", "--J", "1", "--J1", "1",
                               "--grid", "beta=10:20:2", "--depth", "5"],
     "beta_sweep_no_couplings": ["beta-sweep", "--grid", "beta=1:2:2"],
+    # beta=67 overflows theta1**2 before math.exp(2*beta*J1) overflows at beta=100.
+    "beta_sweep_inf_root_sum": ["beta-sweep", "--J", "1", "--J1", "5",
+                                "--grid", "beta=1:100:4", "--depth", "4"],
+    "beta_sweep_nan_root_sum": ["beta-sweep", "--J", "-6", "--J1", "9.9",
+                                "--grid", "beta=1:23.06:3", "--depth", "4"],
     "ground_state_csv": ["ground-state", "--J", "-0.5", "--J1", "1", "--grid", "beta=1:10:4"],
     "ground_state_depth3_json": ["ground-state", "--J", "-0.4", "--J1", "1",
                                  "--grid", "beta=3:6:2", "--depth", "3", "--format", "json"],
