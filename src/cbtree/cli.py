@@ -349,9 +349,10 @@ def _recursion_errors(rng, draws):
     for depth in (2, 2, 3)[:draws]:
         params = _in_regime_params(rng)
         tree = build_tree(depth, "full")
-        fields = propagate_inward(tree, params, ti_fixed_points(params).h3)
-        ln_oracle = exact_oracle.log_partition(tree, params, fields)
-        ln_rec = log_partition_recursive(params, fields)
+        h3 = ti_fixed_points(params).h3
+        # The enumerated table, not the tree DP that log_partition reads.
+        ln_oracle = exact_oracle.enumerated_count_table(tree).log_partition(params, h3)
+        ln_rec = log_partition_recursive(params, propagate_inward(tree, params, h3))
         yield abs(ln_rec - ln_oracle) / abs(ln_oracle)
 
 

@@ -1,9 +1,9 @@
 """Ground truth by complete configuration enumeration.
 
-Everything here scales as 2**(vertex count) and is meant for small depths:
-full trees to depth 3 (22 spins, ~4.2M configurations), half trees to
-depth 4.  The recursion modules cover anything larger and are validated
-against this one.
+Everything here but ``count_table`` scales as 2**(vertex count) and is
+meant for small depths: full trees to depth 3 (22 spins, ~4.2M
+configurations), half trees to depth 4.  The recursion modules cover
+anything larger and are validated against this one.
 
 The finite-volume Gibbs weight of a configuration s is
 
@@ -18,13 +18,17 @@ worker-thread count.  These block passes are the only work in the package
 spread over threads (``parallel_map``, one block per item); everything else
 is too small per item for a thread to pay for itself.
 
-Two routes share that enumeration.  For a constant boundary field h the log
-weight is beta*J*A + beta*J1*B + h*C_boundary, whose integer statistics do
-not depend on (beta, h).  ``count_table`` therefore counts the
-configurations in each (A, B, C_boundary) bin once per tree, in one
-block-wise pass, and keeps the exact integer counts for the life of the
-process (one table per enumerable tree, built on first use under a lock so
-that concurrent first callers build it once).  ``log_partition`` and
+For a constant boundary field h the log weight is
+beta*J*A + beta*J1*B + h*C_boundary, whose integer statistics do not depend
+on (beta, h).  ``count_table`` therefore keeps the exact number of
+configurations in each (A, B, C_boundary) bin, one table per enumerable tree
+for the life of the process (built on first use under a lock, so that
+concurrent first callers build it once).  It is built without touching a
+configuration: all subtrees on one level are equal, so a DP from the
+boundary inwards convolves the bin counts of a vertex's children, per spin
+of the vertex.  ``enumerated_count_table`` builds the same table by one
+block-wise pass over all configurations and is its oracle; ``verify``
+reads its recursion check from that one.  ``log_partition`` and
 ``plus_minus_mass`` with a constant field are then a log-sum-exp over the
 bins (1340 at full depth 3) instead of over 2**22 configurations.  Any other
 field, and ``measure_prob``, ``marginal_prob`` and ``check_consistency``,
@@ -34,9 +38,10 @@ independent reference.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -49,7 +54,7 @@ from .topology import TreeIndex, build_tree, edge_pairs, sibling_pairs
 FULL_ENUM_DEPTH_CAP = 3
 HALF_ENUM_DEPTH_CAP = 4
 
-_BLOCK = 1 << 20  # fixed chunking; never tied to the thread count
+_BLOCK = 1 << 16  # fixed chunking; never tied to the thread count
 
 
 def _check_enum_cap(tree: TreeIndex) -> None:
@@ -121,24 +126,76 @@ def _count_block(tree: TreeIndex, shape: tuple[int, int, int], rng) -> np.ndarra
     return np.bincount(key, minlength=shape[0] * shape[1] * shape[2])
 
 
-@lru_cache(maxsize=None)
-def _build_count_table(tree: TreeIndex) -> CountTable:
-    nb = tree.level_size(tree.depth)
-    shape = (len(sibling_pairs(tree)) + 1, len(edge_pairs(tree)) + 1, nb + 1)
-    partials = parallel_map(lambda rng: _count_block(tree, shape, rng),
-                            _blocks(1 << tree.n_vertices))
-    counts = np.sum(partials, axis=0)
+def _join_children(sub: list[np.ndarray], k: int, da: int, db: int) -> list[np.ndarray]:
+    """Flat bin counts of the subtree of a vertex with ``k`` children, per
+    spin s of the vertex (0 minus, 1 plus), from ``sub[t]``, those of one
+    child's subtree with the child at spin t.
+
+    Children with j plus spins occur in comb(k, j) orders; they add
+    j*(k - j) unequal sibling pairs, and the children whose spin differs
+    from s add one unequal edge each.
+    """
+    terms = [math.comb(k, j) * reduce(np.convolve, [sub[1]] * j + [sub[0]] * (k - j))
+             for j in range(k + 1)]
+    joined = []
+    for s in (0, 1):
+        out = np.zeros(0, dtype=np.int64)
+        for j, term in enumerate(terms):
+            shift = j * (k - j) * da + (k - j if s else j) * db
+            if out.size < shift + term.size:
+                out = np.pad(out, (0, shift + term.size - out.size))
+            out[shift:shift + term.size] += term
+        joined.append(out)
+    return joined
+
+
+def _table(counts: np.ndarray) -> CountTable:
+    """The non-empty bins of a count array over (unequal sibling pairs,
+    unequal edges, boundary plus spins), in ravelled order."""
+    shape = counts.shape
+    nb = shape[2] - 1
     nonzero = np.flatnonzero(counts)
     a_neq, b_neq, ones = np.unravel_index(nonzero, shape)
     arrays = (
         shape[0] - 1 - 2 * a_neq.astype(np.int64),
         shape[1] - 1 - 2 * b_neq.astype(np.int64),
         2 * ones.astype(np.int64) - nb,
-        counts[nonzero].astype(np.int64),
+        counts.ravel()[nonzero].astype(np.int64),
     )
     for arr in arrays:
         arr.flags.writeable = False
     return CountTable(*arrays)
+
+
+def _table_shape(tree: TreeIndex) -> tuple[int, int, int]:
+    return (len(sibling_pairs(tree)) + 1, len(edge_pairs(tree)) + 1,
+            tree.level_size(tree.depth) + 1)
+
+
+@lru_cache(maxsize=None)
+def _build_count_table(tree: TreeIndex) -> CountTable:
+    # The bin of (unequal sibling pairs p, unequal edges e, boundary plus
+    # spins c) sits at flat index p*da + e*db + c.  A subtree's counts are at
+    # most the whole tree's, so no axis carries into the next and a 1-D
+    # convolution of flat arrays is the 3-D convolution of bins.
+    shape = _table_shape(tree)
+    da, db = shape[1] * shape[2], shape[2]
+    sub = [np.array([1], dtype=np.int64), np.array([0, 1], dtype=np.int64)]  # a boundary vertex
+    for m in reversed(range(tree.depth)):
+        k = len(tree.children[tree.level_start[m]])
+        sub = _join_children(sub, k, da, db)
+    counts = np.zeros(math.prod(shape), dtype=np.int64)
+    for flat in sub:
+        counts[:flat.size] += flat
+    return _table(counts.reshape(shape))
+
+
+@lru_cache(maxsize=None)
+def _enumerate_count_table(tree: TreeIndex) -> CountTable:
+    shape = _table_shape(tree)
+    partials = parallel_map(lambda rng: _count_block(tree, shape, rng),
+                            _blocks(1 << tree.n_vertices))
+    return _table(np.sum(partials, axis=0).reshape(shape))
 
 
 _TABLE_LOCK = threading.Lock()
@@ -147,12 +204,25 @@ _TABLE_LOCK = threading.Lock()
 def count_table(tree: TreeIndex) -> CountTable:
     """The (A, B, C_boundary) count table of ``tree``.
 
-    Built by one block-wise enumeration pass on first use and cached per
-    tree; the lock makes concurrent first callers build it only once.
+    Built on first use by a tree DP over levels and cached per tree; the
+    lock makes concurrent first callers build it only once.
+    ``enumerated_count_table`` is its oracle.
     """
     _check_enum_cap(tree)
     with _TABLE_LOCK:
         return _build_count_table(tree)
+
+
+def enumerated_count_table(tree: TreeIndex) -> CountTable:
+    """``count_table`` built by binning every configuration instead.
+
+    One block-wise enumeration pass over all 2**n configurations, spread
+    over threads and cached per tree under the same lock; equal to
+    ``count_table`` array for array.
+    """
+    _check_enum_cap(tree)
+    with _TABLE_LOCK:
+        return _enumerate_count_table(tree)
 
 
 def _log_partition_enumerated(tree: TreeIndex, params: ModelParams, hb: np.ndarray) -> float:

@@ -246,7 +246,7 @@ def ti_fixed_points(params: ModelParams) -> TIFixedPoints:
         fps = TIFixedPoints(REGIMES[index], 1.0, 1.0, 1.0)
 
     for u in (fps.u1, fps.u2, fps.u3):
-        if abs(ti_map(params, u) - u) > RESIDUAL_TOL * max(1.0, u):
+        if not (abs(ti_map(params, u) - u) <= RESIDUAL_TOL * max(1.0, u)):
             raise ArithmeticError(
                 f"fixed point u={u!r} fails the self-consistency residual check"
             )

@@ -110,8 +110,9 @@ def exhaustive_lemma_check(depth: int = 2) -> LemmaCheckResult:
 
     Configuration form: B(s) - A(s) <= B - A over every configuration
     (2**22 of them at depth 3), counted over the bins of
-    ``exact_oracle.count_table``; the witness is the smallest violating
-    configuration id, from the doubling scan of ``first_config``.  Subset
+    ``exact_oracle.count_table``, which its tree DP builds without visiting
+    a configuration; the witness is the smallest violating configuration
+    id, from the doubling scan of ``first_config``.  Subset
     form: the sibling boundary of a connected vertex set never outnumbers
     its edge boundary, counted by the bitmask census ``boundary_census``
     (17687 sets at depth 3).  Returns zero violation counts when clean,

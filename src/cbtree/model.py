@@ -32,7 +32,8 @@ class ModelParams:
     """Couplings and inverse temperature.
 
     ``J`` couples sibling pairs, ``J1`` couples edges; both in energy units.
-    ``beta`` must be positive (free-energy normalization divides by it).
+    ``beta`` must be positive (free-energy normalization divides by it),
+    and 2*beta*J and 2*beta*J1 must be finite floats.
     """
 
     J: float
@@ -42,8 +43,12 @@ class ModelParams:
     def __post_init__(self):
         if not (self.beta > 0.0) or not math.isfinite(self.beta):
             raise ValueError(f"beta must be positive and finite, got {self.beta}")
-        if not (math.isfinite(self.J) and math.isfinite(self.J1)):
-            raise ValueError("couplings must be finite")
+        x = 2.0 * self.beta
+        if not (math.isfinite(x * self.J) and math.isfinite(x * self.J1)):
+            if not (math.isfinite(self.J) and math.isfinite(self.J1)):
+                raise ValueError("couplings must be finite")
+            name = "J1" if math.isfinite(x * self.J) else "J"
+            raise ValueError(f"2*beta*{name} overflows a float")
 
     @classmethod
     def from_thetas(cls, theta: float, theta1: float) -> "ModelParams":

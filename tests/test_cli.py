@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -57,6 +58,17 @@ class TestFixedPointsCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: OverflowError")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("cmd", ["fixed-points", "free-energy"])
+    def test_product_overflow_is_usage_error(self, cmd, capsys):
+        # beta and J are finite but 2*beta*J is not; no NaN may reach the
+        # output and no numpy warning the terminal.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([cmd, "--J", "1e308", "--J1", "1", "--beta", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: 2*beta*J overflows a float\n"
 
     @pytest.mark.parametrize("flag", ["--J", "--J1", "--beta", "--theta", "--theta1"])
     def test_negative_e_notation_value(self, flag, capsys):
@@ -255,6 +267,15 @@ class TestVerifyCommand:
         for c in doc["checks"]:
             assert c["pass"] is True
             assert c["max_error"] < c["tol"]
+
+    def test_recursion_check_reads_enumerated_table(self):
+        # recursion_vs_enumeration must compare against an enumeration, not
+        # against the tree DP of count_table.
+        exact_oracle._build_count_table.cache_clear()
+        exact_oracle._enumerate_count_table.cache_clear()
+        assert run_verification(seed=0)["all_pass"]
+        assert exact_oracle._enumerate_count_table.cache_info().misses == 2  # depths 2, 3
+        assert exact_oracle._build_count_table.cache_info().misses == 0
 
     def test_seed_changes_numbers_not_status(self, tmp_path):
         r1 = run_verification(seed=1)

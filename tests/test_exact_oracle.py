@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import time
 from collections import Counter
 
 import numpy as np
@@ -14,6 +15,7 @@ from cbtree.exact_oracle import (
     PLUS_BIN,
     check_consistency,
     count_table,
+    enumerated_count_table,
     first_config,
     log_partition,
     log_weights,
@@ -237,9 +239,10 @@ class TestPlusMinusMass:
         assert mass_minus == pytest.approx(2.0**-n, rel=0.25)
 
 
-# Half depth 4 (2**31 configurations) is left out: one enumeration pass
-# takes minutes.
-TABLE_TREES = [(d, "full") for d in range(4)] + [(d, "half") for d in range(4)]
+TABLE_TREES = [(d, "full") for d in range(4)] + [(d, "half") for d in range(5)]
+# Half depth 4 (2**31 configurations) has no enumerated table: one
+# enumeration pass takes minutes.
+ENUMERATED_TREES = TABLE_TREES[:-1]
 SMALL_TREES = [(d, "full") for d in range(3)] + [(d, "half") for d in range(4)]
 
 
@@ -260,6 +263,22 @@ class TestCountTable:
         assert table.count[PLUS_BIN] == table.count[MINUS_BIN] == 1
         assert (table.a[PLUS_BIN], table.b[PLUS_BIN], table.c[PLUS_BIN]) == (a, b, nb)
         assert (table.a[MINUS_BIN], table.b[MINUS_BIN], table.c[MINUS_BIN]) == (a, b, -nb)
+
+    @pytest.mark.parametrize("depth,mode", ENUMERATED_TREES)
+    def test_dp_matches_enumeration(self, depth, mode):
+        tree = build_tree(depth, mode)
+        dp, enumerated = count_table(tree), enumerated_count_table(tree)
+        for field in ("a", "b", "c", "count"):
+            got, want = getattr(dp, field), getattr(enumerated, field)
+            assert got.dtype == want.dtype == np.int64
+            assert np.array_equal(got, want), field
+
+    def test_half_depth4_dp_build_under_one_second(self):
+        tree = build_tree(4, "half")
+        exact_oracle._build_count_table.cache_clear()
+        t0 = time.perf_counter()
+        count_table(tree)
+        assert time.perf_counter() - t0 < 1.0
 
     @pytest.mark.parametrize("depth,mode", SMALL_TREES)
     def test_matches_per_configuration_histogram(self, depth, mode):
@@ -303,14 +322,15 @@ class TestCountTable:
             tree, params, np.full(tree.level_size(3), h))
         assert abs(log_partition(tree, params, h) - per_config) <= 1e-13 * abs(per_config)
 
-    def test_concurrent_first_callers_build_once(self):
+    @staticmethod
+    def first_callers_build_once(table_of, build):
         tree = build_tree(2, "full")
-        exact_oracle._build_count_table.cache_clear()
+        build.cache_clear()
         results = []
         saved = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=lambda: results.append(count_table(tree)))
+            threads = [threading.Thread(target=lambda: results.append(table_of(tree)))
                        for _ in range(8)]
             for t in threads:
                 t.start()
@@ -320,7 +340,14 @@ class TestCountTable:
             sys.setswitchinterval(saved)
         assert not any(t.is_alive() for t in threads)
         assert len(results) == 8 and all(r is results[0] for r in results)
-        assert exact_oracle._build_count_table.cache_info().misses == 1
+        assert build.cache_info().misses == 1
+
+    def test_concurrent_first_callers_build_once(self):
+        self.first_callers_build_once(count_table, exact_oracle._build_count_table)
+
+    def test_enumerated_concurrent_first_callers_build_once(self):
+        self.first_callers_build_once(enumerated_count_table,
+                                      exact_oracle._enumerate_count_table)
 
 
 class TestFirstConfig:

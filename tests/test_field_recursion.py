@@ -163,6 +163,13 @@ class TestTIFixedPoints:
         for u in (fps.u1, fps.u2, fps.u3):
             assert abs(ti_map(TWO_FIVE, u) - u) < 1e-10
 
+    def test_nan_residual_fails_the_solve(self, monkeypatch):
+        # NaN compares False against the tolerance, so the guard must reject
+        # it rather than accept it.
+        monkeypatch.setattr(field_recursion, "ti_map", lambda params, u: math.nan)
+        with pytest.raises(ArithmeticError, match="residual check"):
+            ti_fixed_points(TWO_FIVE)
+
     def test_degenerate_on_curve(self):
         fps = ti_fixed_points(ModelParams.from_thetas(4.0, 2.0))
         assert fps.regime == "degenerate"

@@ -33,6 +33,10 @@ CASES = {
     "fixed_points_inf_root_sum": ["fixed-points", "--J", "1", "--J1", "300", "--beta", "1"],
     "fixed_points_negative_exponent": ["fixed-points", "--J", "-1e-3", "--J1", "1",
                                        "--beta", "1"],
+    # beta*J overflows although beta and J are finite: refused, not printed
+    # with NaN residuals.
+    "fixed_points_beta_j_overflow": ["fixed-points", "--J", "1e308", "--J1", "1",
+                                     "--beta", "10"],
     "phase_diagram_out": ["phase-diagram", "--grid", "theta1=1.2:4:6",
                           "--grid", "theta=0.5:8:5", "--out", "{out}"],
     "phase_diagram_stdout": ["phase-diagram", "--grid", "theta1=2:3:2",
@@ -57,6 +61,8 @@ CASES = {
     # 3*beta*2**n overflows at n = 1023: refused rather than printed as nan.
     "free_energy_n_max_overflow": ["free-energy", "--J", "1", "--J1", "1", "--beta", "1",
                                    "--n-max", "1023"],
+    "free_energy_beta_j_overflow": ["free-energy", "--J", "1e308", "--J1", "1",
+                                    "--beta", "10"],
     "beta_sweep_out": ["beta-sweep", "--J", "1", "--J1", "1", "--grid", "beta=0.1:10:4",
                        "--depth", "2", "--out", "{out}"],
     "beta_sweep_depth3_json": ["beta-sweep", "--J", "0.3", "--J1", "0.7",

@@ -21,6 +21,18 @@ class TestModelParams:
         with pytest.raises(ValueError):
             ModelParams(J=1.0, J1=1.0, beta=-2.0)
 
+    @pytest.mark.parametrize("message,kwargs", [
+        ("2*beta*J overflows a float", dict(J=1e308, J1=1.0, beta=10.0)),
+        ("2*beta*J1 overflows a float", dict(J=1.0, J1=-1e308, beta=10.0)),
+        ("2*beta*J overflows a float", dict(J=1e300, J1=1e300, beta=1e300)),
+        ("couplings must be finite", dict(J=1.0, J1=math.nan, beta=1.0)),
+        ("couplings must be finite", dict(J=-math.inf, J1=1.0, beta=1.0)),
+    ])
+    def test_rejects_non_finite_couplings(self, message, kwargs):
+        with pytest.raises(ValueError) as exc:
+            ModelParams(**kwargs)
+        assert str(exc.value) == message
+
     def test_derived_quantities(self):
         p = ModelParams(J=0.3, J1=-0.2, beta=2.0)
         assert p.theta_exp == pytest.approx(math.exp(1.2))

@@ -22,6 +22,6 @@ def test_library_example():
     assert fps.regime == "three"
     assert fps.u1 < 1.0 < fps.u3
     assert math.isclose(fps.u1 * fps.u3, 1.0, rel_tol=1e-15)
-    # the telescoped ln Z equals the enumerated one to 1e-12
+    # the telescoped ln Z equals the exact one to 1e-12
     assert abs(ns["ln_z_fast"] - ns["ln_z_exact"]) <= 1e-12
     assert ns["report"].branch == "u3"
