@@ -40,14 +40,14 @@ from .free_energy import (
     free_energy,
     free_energy_betas,
     log_partition_recursive,
-    pair_log_weights,
     zero_temperature_limit,
 )
 from .field_recursion import (
     CURVE_POLE_TOL,
     REGIME_THREE,
     REGIMES,
-    child_to_parent,
+    _lse4_array,
+    _pair_log_weights,
     critical_curve,
     propagate_inward,
     ti_fixed_points,
@@ -62,7 +62,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 
 class UsageError(Exception):
@@ -327,22 +327,20 @@ def _in_regime_params(rng) -> ModelParams:
 def _level_factor_errors(rng, draws):
     bj, bj1 = rng.uniform(-10, 10, (2, draws))
     hy, hz = rng.uniform(-10, 10, (2, draws))
-    levels = _level_log_factor(bj, bj1, hy, hz)  # beta = 1: beta*J is J itself
-    for j, j1, y, z, level in zip(bj, bj1, hy, hz, levels.tolist()):
-        w_up, w_dn = pair_log_weights(ModelParams(J=j, J1=j1, beta=1.0), y, z)
-        yield abs(math.exp(level - 0.5 * (w_up + w_dn)) - 1.0)
+    # beta = 1: beta*J is J itself and 2*beta*J1 is 2*J1.
+    levels = _level_log_factor(bj, bj1, hy, hz)
+    w_up, w_dn = _pair_log_weights(2.0 * bj1, bj, hy, hz, _lse4_array)
+    return np.abs(np.exp(levels - 0.5 * (w_up + w_dn)) - 1.0).tolist()
 
 
 def _theta_form_errors(rng, draws):
-    for _ in range(draws):
-        bj, bj1 = rng.uniform(-5, 5, 2)
-        hy, hz = rng.uniform(-5, 5, 2)
-        p = ModelParams(J=bj, J1=bj1, beta=1.0)
-        th, th1 = p.theta_exp, p.theta1_exp
-        uy, uz = math.exp(2 * hy), math.exp(2 * hz)
-        num = th1 * th1 * th * uy * uz + th1 * (uy + uz) + th
-        den = th * uy * uz + th1 * (uy + uz) + th1 * th1 * th
-        yield abs(0.5 * math.log(num / den) - child_to_parent(p, hy, hz))
+    bj, bj1, hy, hz = rng.uniform(-5, 5, (draws, 4)).T  # four doubles per draw
+    th, th1 = np.exp(2.0 * bj), np.exp(2.0 * bj1)
+    uy, uz = np.exp(2.0 * hy), np.exp(2.0 * hz)
+    num = th1 * th1 * th * uy * uz + th1 * (uy + uz) + th
+    den = th * uy * uz + th1 * (uy + uz) + th1 * th1 * th
+    w_up, w_dn = _pair_log_weights(2.0 * bj1, bj, hy, hz, _lse4_array)
+    return np.abs(0.5 * np.log(num / den) - 0.5 * (w_up - w_dn)).tolist()
 
 
 def _recursion_errors(rng, draws):
@@ -387,9 +385,13 @@ def run_verification(seed: int = 0, inject_failure: bool = False) -> dict:
     Each check draws from a fresh ``default_rng(seed)`` and compares two
     routes: level factor and child-pair weights, field map and its theta
     form, telescoped ln Z and enumeration, propagated fields and enumerated
-    marginals, F(u3) and F(u1).  An error that is NaN or infinite on any draw
-    fails its check with ``max_error`` None; otherwise a check passes when
-    its largest error is below ``tol``.  ``inject_failure`` perturbs the first.
+    marginals, F(u3) and F(u1).  The first two checks run both routes over
+    all their draws as numpy arrays, through the array kernels that the
+    sweeps and ``propagate_inward`` use (``_level_log_factor`` and
+    ``_pair_log_weights``); the other three go per draw through the scalar
+    faces.  An error that is NaN or infinite on any draw fails its check
+    with ``max_error`` None; otherwise a check passes when its largest error
+    is below ``tol``.  ``inject_failure`` perturbs the first.
     """
     checks = []
     for name, draws, tol, errors in _CHECKS:

@@ -63,13 +63,22 @@ class ModelParams:
 
     @property
     def theta_exp(self) -> float:
-        """exp(2*beta*J), the sibling-coupling weight ratio."""
-        return math.exp(2.0 * self.beta * self.J)
+        """exp(2*beta*J), the sibling-coupling weight ratio; OverflowError
+        naming the exponent when it does not fit a float."""
+        return _exp_named(2.0 * self.beta * self.J, "J")
 
     @property
     def theta1_exp(self) -> float:
-        """exp(2*beta*J1), the edge-coupling weight ratio."""
-        return math.exp(2.0 * self.beta * self.J1)
+        """exp(2*beta*J1), the edge-coupling weight ratio; OverflowError
+        naming the exponent when it does not fit a float."""
+        return _exp_named(2.0 * self.beta * self.J1, "J1")
+
+
+def _exp_named(x: float, name: str) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise OverflowError(f"exp(2*beta*{name}) overflows a float") from None
 
 
 @dataclass(frozen=True)

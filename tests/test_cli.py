@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbtree import cli, exact_oracle, field_recursion, ground_states
-from cbtree.field_recursion import REGIME_THREE, ti_fixed_points
+from cbtree.field_recursion import REGIME_THREE, child_to_parent, ti_fixed_points
 from cbtree.free_energy import free_energy, level_log_factor, pair_log_weights
 from cbtree.cli import main, run_verification
 from cbtree.model import ModelParams
@@ -41,7 +41,7 @@ class TestFixedPointsCommand:
         assert main(["fixed-points", "--J", "1", "--J1", "1", "--beta", "2",
                      "--format", "json", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
-        assert doc["schema"] == 4
+        assert doc["schema"] == cli.SCHEMA_VERSION
         assert doc["result"]["regime"] == "three"
 
     def test_rejects_mixed_parameterization(self, capsys):
@@ -219,6 +219,13 @@ def _scaled(route, eps):
     return lambda *args: route(*args) * (1.0 + eps)
 
 
+def _up_shifted(route, eps):
+    def shifted(*args):
+        w_up, w_dn = route(*args)
+        return w_up + eps, w_dn
+    return shifted
+
+
 def _interior_shifted(route, eps):
     def shifted(tree, params, boundary):
         fields = route(tree, params, boundary)
@@ -242,16 +249,41 @@ def _u1_shifted(route, eps):
 # check makes the enumeration side return NaN instead.
 PERTURBED_ROUTES = [
     ("level_factor_identity", cli, "_level_log_factor", _shifted, 1e-6),
-    ("theta_form_match", cli, "child_to_parent", _shifted, 1e-9),
+    ("theta_form_match", cli, "_pair_log_weights", _up_shifted, 1e-9),
     ("recursion_vs_enumeration", cli, "log_partition_recursive", _scaled, 1e-8),
     ("consistency_propagated", cli, "propagate_inward", _interior_shifted, 1e-6),
     ("free_energy_symmetry", cli, "free_energy", _u1_shifted, 1e-6),
     ("level_factor_identity", cli, "_level_log_factor", _shifted, math.nan),
-    ("theta_form_match", cli, "child_to_parent", _shifted, math.nan),
+    ("theta_form_match", cli, "_pair_log_weights", _up_shifted, math.nan),
     ("recursion_vs_enumeration", cli, "log_partition_recursive", _scaled, math.nan),
     ("consistency_propagated", exact_oracle, "check_consistency", _shifted, math.nan),
     ("free_energy_symmetry", cli, "free_energy", _u1_shifted, math.nan),
 ]
+
+
+def per_draw_level_factor_errors(rng, draws):
+    """verify's level-factor check drawn per point through the scalar faces:
+    ``level_log_factor`` and the ``math`` branch of ``pair_log_weights``."""
+    bj, bj1 = rng.uniform(-10, 10, (2, draws))
+    hy, hz = rng.uniform(-10, 10, (2, draws))
+    for j, j1, y, z in zip(bj, bj1, hy, hz):
+        p = ModelParams(J=j, J1=j1, beta=1.0)
+        w_up, w_dn = pair_log_weights(p, y, z)
+        yield abs(math.exp(level_log_factor(p, y, z) - 0.5 * (w_up + w_dn)) - 1.0)
+
+
+def per_draw_theta_form_errors(rng, draws):
+    """verify's theta-form check drawn per point: the theta form in ``math``
+    against the scalar ``child_to_parent``."""
+    for _ in range(draws):
+        bj, bj1 = rng.uniform(-5, 5, 2)
+        hy, hz = rng.uniform(-5, 5, 2)
+        p = ModelParams(J=bj, J1=bj1, beta=1.0)
+        th, th1 = p.theta_exp, p.theta1_exp
+        uy, uz = math.exp(2 * hy), math.exp(2 * hz)
+        num = th1 * th1 * th * uy * uz + th1 * (uy + uz) + th
+        den = th * uy * uz + th1 * (uy + uz) + th1 * th1 * th
+        yield abs(0.5 * math.log(num / den) - child_to_parent(p, hy, hz))
 
 
 class TestVerifyCommand:
@@ -259,7 +291,7 @@ class TestVerifyCommand:
         out = tmp_path / "verify.json"
         assert main(["verify", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
-        assert doc["schema"] == 4
+        assert doc["schema"] == cli.SCHEMA_VERSION
         assert doc["all_pass"] is True
         names = {c["check_name"] for c in doc["checks"]}
         assert "level_factor_identity" in names
@@ -293,18 +325,39 @@ class TestVerifyCommand:
     def test_check_names(self):
         assert [c["check_name"] for c in run_verification()["checks"]] == CHECK_NAMES
 
+    # numpy's exp and log may differ from math's in the last bit, so the array
+    # checks hold the per-draw errors to 1e-14, not bit for bit.
     @pytest.mark.parametrize("seed", range(10))
     def test_batched_level_factor_matches_per_draw(self, seed):
-        def per_draw(rng, draws):
-            bj, bj1 = rng.uniform(-10, 10, (2, draws))
-            hy, hz = rng.uniform(-10, 10, (2, draws))
-            for j, j1, y, z in zip(bj, bj1, hy, hz):
-                p = ModelParams(J=j, J1=j1, beta=1.0)
-                w_up, w_dn = pair_log_weights(p, y, z)
-                yield abs(math.exp(level_log_factor(p, y, z) - 0.5 * (w_up + w_dn)) - 1.0)
+        batched = cli._level_factor_errors(np.random.default_rng(seed), 1000)
+        per_draw = list(per_draw_level_factor_errors(np.random.default_rng(seed), 1000))
+        assert len(batched) == len(per_draw) == 1000
+        assert max(abs(a - b) for a, b in zip(batched, per_draw)) <= 1e-14
 
-        batched = list(cli._level_factor_errors(np.random.default_rng(seed), 1000))
-        assert batched == list(per_draw(np.random.default_rng(seed), 1000))
+    @pytest.mark.parametrize("seed", range(10))
+    def test_batched_theta_form_matches_per_draw(self, seed):
+        batched = cli._theta_form_errors(np.random.default_rng(seed), 400)
+        per_draw = list(per_draw_theta_form_errors(np.random.default_rng(seed), 400))
+        assert len(batched) == len(per_draw) == 400
+        assert max(abs(a - b) for a, b in zip(batched, per_draw)) <= 1e-14
+
+    def test_theta_form_draws_are_the_per_draw_stream(self, monkeypatch):
+        # One (draws, 4) array split into columns reads the doubles that a
+        # (2,) call for the couplings and a (2,) call for the fields per draw read.
+        seen = []
+        core = cli._pair_log_weights
+
+        def spy(a1, aj, hy, hz, lse):
+            seen.append((0.5 * a1, aj, hy, hz))  # a1 = 2*beta*J1 with beta = 1
+            return core(a1, aj, hy, hz, lse)
+
+        monkeypatch.setattr(cli, "_pair_log_weights", spy)
+        cli._theta_form_errors(np.random.default_rng(5), 400)
+        [(bj1, bj, hy, hz)] = seen
+        rng = np.random.default_rng(5)
+        for k in range(400):
+            assert (bj[k], bj1[k]) == tuple(rng.uniform(-5, 5, 2))
+            assert (hy[k], hz[k]) == tuple(rng.uniform(-5, 5, 2))
 
     @pytest.mark.parametrize("name,owner,attr,perturb,eps", PERTURBED_ROUTES,
                              ids=[f"{r[0]}-{r[4]}" for r in PERTURBED_ROUTES])
@@ -446,7 +499,7 @@ class TestGroundStateCommand:
         main(["ground-state", "--J", "1", "--J1", "1", "--grid", "beta=2:5:2",
               "--format", "json", "--out", str(out)])
         doc = json.loads(out.read_text())
-        assert doc["schema"] == 4
+        assert doc["schema"] == cli.SCHEMA_VERSION
         assert len(doc["rows"]) == 2
         assert doc["rows"][0]["regime"] == "three"
 

@@ -11,6 +11,7 @@ from cbtree.field_recursion import (
     FieldAssignment,
     child_to_parent,
     critical_curve,
+    pair_log_weights,
     phase_predicate,
     propagate_inward,
     ti_fixed_points,
@@ -77,6 +78,21 @@ class TestChildToParent:
         assert out.shape == (3,)
         assert out[0] == pytest.approx(0.0, abs=1e-15)
         assert out[1] == pytest.approx(child_to_parent(TWO_FIVE, 0.5, 0.5))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-2.5, 2.5), st.floats(-2.5, 2.5), st.floats(0.25, 4.0),
+           st.floats(-10.0, 10.0), st.floats(-10.0, 10.0))
+    def test_scalar_branch_matches_array_branch(self, J, J1, beta, hy, hz):
+        # The math branch serves ti_map and the fixed-point residual guard;
+        # numpy's exp and log may differ from math's in the last bit, so the
+        # two branches agree to a few ulps of the largest exponent.
+        params = ModelParams(J=J, J1=J1, beta=beta)
+        scale = 2.0 * beta * abs(J1) + beta * abs(J) + abs(hy) + abs(hz) + 2.0
+        scalar = pair_log_weights(params, hy, hz)
+        array = pair_log_weights(params, np.array([hy]), np.array([hz]))
+        assert all(type(w) is float for w in scalar)
+        for w, wa in zip(scalar, array):
+            assert abs(w - float(wa[0])) <= 4 * math.ulp(scale)
 
 
 class TestPropagateInward:
@@ -414,8 +430,8 @@ class TestTIFixedPointsBetas:
         assert got == expected  # positive finite floats: bit for bit
 
     def test_first_error_in_grid_order(self):
-        # beta = 67 overflows theta1**2; math.exp(2*beta*J1) overflows only at 100.
+        # beta = 67 overflows theta1**2; exp(2*beta*J1) overflows only at 100.
         with pytest.raises(OverflowError, match="u3 is infinite"):
             ti_fixed_points_betas(1.0, 5.0, [1.0, 34.0, 67.0, 100.0])
-        with pytest.raises(OverflowError, match="math range error"):
+        with pytest.raises(OverflowError, match=r"^exp\(2\*beta\*J1\) overflows a float$"):
             ti_fixed_points_betas(1.0, 5.0, [1.0, 100.0, 67.0])

@@ -63,6 +63,8 @@ CASES = {
                                    "--n-max", "1023"],
     "free_energy_beta_j_overflow": ["free-energy", "--J", "1e308", "--J1", "1",
                                     "--beta", "10"],
+    # 2*beta*J1 = 800 fits a float, exp(800) does not.
+    "free_energy_theta1_overflow": ["free-energy", "--J", "1", "--J1", "400", "--beta", "1"],
     "beta_sweep_out": ["beta-sweep", "--J", "1", "--J1", "1", "--grid", "beta=0.1:10:4",
                        "--depth", "2", "--out", "{out}"],
     "beta_sweep_depth3_json": ["beta-sweep", "--J", "0.3", "--J1", "0.7",
@@ -80,6 +82,8 @@ CASES = {
                                  "--grid", "beta=3:6:2", "--depth", "3", "--format", "json"],
     "ground_state_beyond_cap": ["ground-state", "--J", "1", "--J1", "1",
                                 "--grid", "beta=2:3:2", "--depth", "4"],
+    "ground_state_theta_overflow": ["ground-state", "--J", "1e300", "--J1", "1",
+                                    "--grid", "beta=1:1e10:2"],
     "lemma_check_depth2": ["lemma-check", "--depth", "2"],
     "lemma_check_depth1_csv": ["lemma-check", "--depth", "1", "--format", "csv"],
     "lemma_check_depth0": ["lemma-check", "--depth", "0"],

@@ -33,6 +33,16 @@ class TestModelParams:
             ModelParams(**kwargs)
         assert str(exc.value) == message
 
+    def test_overflowing_exponent_is_named(self):
+        p = ModelParams(J=1.0, J1=400.0, beta=1.0)
+        assert math.isfinite(p.theta_exp)
+        with pytest.raises(OverflowError) as exc:
+            p.theta1_exp
+        assert str(exc.value) == "exp(2*beta*J1) overflows a float"
+        with pytest.raises(OverflowError) as exc:
+            ModelParams(J=1e300, J1=1.0, beta=1.0).theta_exp
+        assert str(exc.value) == "exp(2*beta*J) overflows a float"
+
     def test_derived_quantities(self):
         p = ModelParams(J=0.3, J1=-0.2, beta=2.0)
         assert p.theta_exp == pytest.approx(math.exp(1.2))
