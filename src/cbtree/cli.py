@@ -110,6 +110,8 @@ def _parse_grid_specs(specs) -> dict:
             raise UsageError(f"bad grid spec {spec!r}; expected name=start:stop:count") from None
         if count < 1:
             raise UsageError(f"empty grid {spec!r}")
+        if not math.isfinite(stop - start):
+            raise UsageError(f"grid {spec!r} needs finite endpoints a finite distance apart")
         if count > 1 and not stop > start:
             raise UsageError(f"grid {spec!r} is not strictly increasing")
         grids[name.strip()] = np.linspace(start, stop, count)
@@ -363,10 +365,12 @@ def _consistency_errors(rng, draws):
 
 
 def _free_energy_symmetry_errors(rng, draws):
-    for _ in range(draws):
-        params = _in_regime_params(rng)
-        yield abs(free_energy(params, "u3").f_extrapolated
-                  - free_energy(params, "u1").f_extrapolated)
+    params = [_in_regime_params(rng) for _ in range(draws)]
+    fps = [ti_fixed_points(p) for p in params]
+    J, J1, beta = np.array([(p.J, p.J1, p.beta) for p in params]).T
+    f3 = free_energy_betas(J, J1, beta, [f.u3 for f in fps])
+    f1 = free_energy_betas(J, J1, beta, [f.u1 for f in fps])
+    return np.abs(f3 - f1).tolist()
 
 
 # (check_name, draws, tol, per-draw errors of rng and draws)
@@ -388,7 +392,10 @@ def run_verification(seed: int = 0, inject_failure: bool = False) -> dict:
     marginals, F(u3) and F(u1).  The first two checks run both routes over
     all their draws as numpy arrays, through the array kernels that the
     sweeps and ``propagate_inward`` use (``_level_log_factor`` and
-    ``_pair_log_weights``); the other three go per draw through the scalar
+    ``_pair_log_weights``).  The last solves each draw with the scalar
+    ``ti_fixed_points`` and takes F(u3) and F(u1) of all its draws from
+    ``free_energy_betas`` with per-draw couplings, bit-identical to
+    ``free_energy`` per draw; the middle two go per draw through the scalar
     faces.  An error that is NaN or infinite on any draw fails its check
     with ``max_error`` None; otherwise a check passes when its largest error
     is below ``tol``.  ``inject_failure`` perturbs the first.

@@ -13,8 +13,8 @@ the half tree), telescoping the factors reproduces ln Z_n exactly.  The
 free energy is the n -> infinity limit of -ln Z_n / (3 * beta * 2**n); for
 a constant field h it equals -level_log_factor(h, h) / (2 * beta).  The
 kernels and the depth-1 base run on arrays of points as well, which is how
-``free_energy_betas`` gives a whole beta axis the bits ``free_energy`` gives
-each beta.
+``free_energy_betas`` gives a whole beta axis, or a set of points with
+their own couplings, the bits ``free_energy`` gives each point.
 
 Everything beta-dependent flows through ``ln2cosh``; beta = 50 stays well
 inside float range.
@@ -113,13 +113,14 @@ def _z1_terms(n_children: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _Z1_TERMS = {"full": _z1_terms(3), "half": _z1_terms(2)}
 
 
-def _ln_z1(beta, J: float, J1: float, mode: str, child_fields):
+def _ln_z1(beta, J, J1, mode: str, child_fields):
     """Depth-1 log partition function by direct enumeration.
 
     The root of a full tree has three children, which the two-child
     recursion never touches; enumerating the 16 (full) or 8 (half) terms
-    keeps the base exact.  ``beta`` and each child field are floats, or
-    arrays of one shape for one base per point.
+    keeps the base exact.  ``beta``, ``J``, ``J1`` and each child field are
+    floats, or arrays of one shape for one base per point, in the same float
+    operations either way.
     """
     pair, edge, spins = _Z1_TERMS[mode]
     if len(child_fields) != spins.shape[1]:
@@ -127,7 +128,8 @@ def _ln_z1(beta, J: float, J1: float, mode: str, child_fields):
     field = 0.0
     for h, s in zip(child_fields, spins.T):  # one child at a time, as the float sum runs
         field = field + np.multiply.outer(h, s)
-    return _lse(np.multiply.outer(beta, J * pair + J1 * edge) + field)
+    couplings = np.multiply.outer(J, pair) + np.multiply.outer(J1, edge)
+    return _lse(np.asarray(beta)[..., None] * couplings + field)
 
 
 def log_partition_recursive(params: ModelParams, fields: FieldAssignment, depth: int | None = None) -> float:
@@ -174,13 +176,13 @@ class FreeEnergyReport:
     converged: bool
 
 
-def _constant_field_sequence(beta, J: float, J1: float, h, n):
+def _constant_field_sequence(beta, J, J1, h, n):
     """Level rate, ln Z_n and 3*beta*2**n of the constant field h on the full
     tree, so that f_n = -ln Z_n / (3*beta*2**n).
 
-    ``beta`` and ``h`` are floats or arrays of one shape; ``n`` broadcasts
-    against them.  Where 2**n carries ln Z_n or 3*beta*2**n beyond the float
-    range, the value is infinite.
+    ``beta``, ``J``, ``J1`` and ``h`` are floats or arrays of one shape; ``n``
+    broadcasts against them.  Where 2**n carries ln Z_n or 3*beta*2**n
+    beyond the float range, the value is infinite.
     """
     rate = _level_log_factor(beta * J, beta * J1, h, h)
     ln_z1 = _ln_z1(beta, J, J1, "full", (h, h, h))
@@ -228,9 +230,10 @@ def free_energy(params: ModelParams, branch: str = "u3", n_max: int = N_MAX) -> 
     )
 
 
-def free_energy_betas(J: float, J1: float, betas, u) -> np.ndarray:
+def free_energy_betas(J, J1, betas, u) -> np.ndarray:
     """``free_energy(ModelParams(J, J1, beta), branch).f_extrapolated`` per
-    beta, bit for bit, where ``u`` holds the branch's fixed point per beta."""
+    point, bit for bit, where ``u`` holds the branch's fixed point per point
+    and ``J``, ``J1`` are floats or, like ``betas``, arrays of one per point."""
     h = np.array([0.5 * math.log(x) for x in np.asarray(u, dtype=np.float64).tolist()])
     betas = np.asarray(betas, dtype=np.float64)
     _, ln_z, norm = _constant_field_sequence(betas, J, J1, h, np.array([[N_MAX - 1], [N_MAX]]))

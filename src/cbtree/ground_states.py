@@ -114,9 +114,9 @@ def exhaustive_lemma_check(depth: int = 2) -> LemmaCheckResult:
     a configuration; the witness is the smallest violating configuration
     id, from the doubling scan of ``first_config``.  Subset
     form: the sibling boundary of a connected vertex set never outnumbers
-    its edge boundary, counted by the bitmask census ``boundary_census``
-    (17687 sets at depth 3).  Returns zero violation counts when clean,
-    otherwise the first witness of each kind.
+    its edge boundary, counted by ``boundary_census`` in one numpy pass
+    over the sets' uint64 bitmasks (17687 sets at depth 3).  Returns zero
+    violation counts when clean, otherwise the first witness of each kind.
     """
     cap = exact_oracle.FULL_ENUM_DEPTH_CAP
     if depth > cap:

@@ -14,9 +14,10 @@ This makes the depth ``n-1`` slice an id-prefix of the depth-``n`` slice,
 which the enumeration oracle relies on.  A ``TreeIndex`` is immutable after
 construction and safe to share between threads.
 
-Connected vertex sets are enumerated as int bitmasks: ``connected_subsets``
-yields them as frozensets, ``boundary_census`` counts boundaries on the
-masks and ``boundary_sets`` is the frozenset reference for one set.
+Connected vertex sets are enumerated as uint64 bitmask arrays, one per
+top vertex: ``connected_subsets`` yields them as frozensets,
+``boundary_census`` counts the boundaries of all of them in one numpy pass
+and ``boundary_sets`` is the frozenset reference for one set.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
+
+import numpy as np
 
 # Trees are only meant for desk-scale exact work; depth 12 full already has
 # 12286 vertices.
@@ -177,13 +180,14 @@ def boundary_sets(tree: TreeIndex, k: Iterable[int]) -> tuple[frozenset[int], fr
     return frozenset(dk), frozenset(d2k)
 
 
-def _rooted_subtrees(tree: TreeIndex) -> list[list[tuple[int, int, int]]]:
+def _rooted_subtrees(tree: TreeIndex) -> list[np.ndarray]:
     """Per vertex v, every vertex set that contains v and stays inside v's subtree.
 
-    Each set is a triple of int bitmasks: its members, the union of their
-    neighbors and the union of their siblings.  Sets come in
-    ``itertools.product`` order over v's children in id order, each child
-    offering "absent" first and then its own sets.
+    Each entry is a ``(3, n_sets)`` uint64 array whose rows are int bitmasks:
+    the members of each set, the union of their neighbors and the union of
+    their siblings.  Sets come in ``itertools.product`` order over v's
+    children in id order, each child offering "absent" first and then its
+    own sets.
     """
     if tree.depth > SUBSET_DEPTH_CAP:
         raise ValueError(
@@ -191,14 +195,14 @@ def _rooted_subtrees(tree: TreeIndex) -> list[list[tuple[int, int, int]]]:
             f"got depth {tree.depth}"
         )
     n = tree.n_vertices
-    nbr = [sum(1 << w for w in tree.neighbors(v)) for v in range(n)]
-    sib = [sum(1 << w for w in tree.siblings(v)) for v in range(n)]
-    rooted: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    rooted: list[np.ndarray] = [None] * n
     for v in reversed(range(n)):
-        sets = [(1 << v, nbr[v], sib[v])]
+        sets = np.array([[1 << v], [sum(1 << w for w in tree.neighbors(v))],
+                         [sum(1 << w for w in tree.siblings(v))]], dtype=np.uint64)
         for c in tree.children[v]:
-            opts = [(0, 0, 0)] + rooted[c]
-            sets = [(k | kc, d | dc, s | sc) for k, d, s in sets for kc, dc, sc in opts]
+            opts = np.concatenate((np.zeros((3, 1), np.uint64), rooted[c]), axis=1)
+            # Row-major reshape keeps v's sets outer and the child's options inner.
+            sets = (sets[:, :, None] | opts[:, None, :]).reshape(3, -1)
         rooted[v] = sets
     return rooted
 
@@ -221,7 +225,7 @@ def connected_subsets(tree: TreeIndex, max_count: int) -> Iterator[frozenset[int
     """
     count = 0
     for sets in _rooted_subtrees(tree):
-        for k, _, _ in sets:
+        for k in sets[0].tolist():
             count += 1
             if count > max_count:
                 raise ValueError(f"connected subset count exceeds cap {max_count}")
@@ -231,11 +235,11 @@ def connected_subsets(tree: TreeIndex, max_count: int) -> Iterator[frozenset[int
 def boundary_census(tree: TreeIndex) -> tuple[int, int, frozenset[int] | None]:
     """Count connected vertex sets whose sibling boundary outnumbers the edge boundary.
 
-    Walks the sets of ``connected_subsets`` in the same order as bitmasks,
-    taking the boundaries of each from its members' neighbor and sibling
-    masks.  Returns (set count, violating sets, first violating set or None).
+    Takes the sets of ``connected_subsets``, in the same order, as one array
+    of member, neighbor and sibling masks and counts both boundaries of all
+    sets at once with ``np.bitwise_count``.  Returns (set count, violating
+    sets, first violating set or None).
     """
-    rooted = _rooted_subtrees(tree)
-    bad = [k for sets in rooted for k, d, s in sets
-           if (s & ~k).bit_count() > (d & ~k).bit_count()]
-    return sum(map(len, rooted)), len(bad), _members(bad[0]) if bad else None
+    k, d, s = np.concatenate(_rooted_subtrees(tree), axis=1)
+    bad = np.flatnonzero(np.bitwise_count(s & ~k) > np.bitwise_count(d & ~k))
+    return k.size, bad.size, _members(int(k[bad[0]])) if bad.size else None

@@ -136,6 +136,19 @@ class TestPhaseDiagramCommand:
     def test_nonincreasing_grid_rejected(self):
         assert main(["phase-diagram", "--grid", "theta1=3:2:5", "--grid", "theta=1:2:3"]) == 2
 
+    @pytest.mark.parametrize("argv,spec", [
+        (["phase-diagram", "--grid", "theta=1:2:2"], "theta1=-inf:3:3"),
+        (["beta-sweep", "--J", "1", "--J1", "1"], "beta=1:inf:3"),
+        (["beta-sweep", "--J", "1", "--J1", "1"], "beta=nan:2:1"),
+        (["phase-diagram", "--grid", "theta1=2:3:2"], "theta=-1e308:1e308:3"),
+    ], ids=["inf-start", "inf-stop", "nan-single", "span-overflow"])
+    def test_non_finite_grid_is_usage_error(self, argv, spec, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--grid", spec]) == 2
+        assert capsys.readouterr().err == (
+            f"error: grid {spec!r} needs finite endpoints a finite distance apart\n")
+
     def test_missing_axis_rejected(self):
         assert main(["phase-diagram", "--grid", "theta1=2:3:2"]) == 2
 
@@ -236,11 +249,9 @@ def _interior_shifted(route, eps):
 
 
 def _u1_shifted(route, eps):
-    def shifted(params, branch="u3", n_max=30):
-        rep = route(params, branch, n_max)
-        if branch == "u1":
-            rep = dataclasses.replace(rep, f_extrapolated=rep.f_extrapolated + eps)
-        return rep
+    def shifted(J, J1, betas, u):
+        # The u1 branch is the one with u < 1.
+        return route(J, J1, betas, u) + np.where(np.asarray(u) < 1.0, eps, 0.0)
     return shifted
 
 
@@ -252,12 +263,12 @@ PERTURBED_ROUTES = [
     ("theta_form_match", cli, "_pair_log_weights", _up_shifted, 1e-9),
     ("recursion_vs_enumeration", cli, "log_partition_recursive", _scaled, 1e-8),
     ("consistency_propagated", cli, "propagate_inward", _interior_shifted, 1e-6),
-    ("free_energy_symmetry", cli, "free_energy", _u1_shifted, 1e-6),
+    ("free_energy_symmetry", cli, "free_energy_betas", _u1_shifted, 1e-6),
     ("level_factor_identity", cli, "_level_log_factor", _shifted, math.nan),
     ("theta_form_match", cli, "_pair_log_weights", _up_shifted, math.nan),
     ("recursion_vs_enumeration", cli, "log_partition_recursive", _scaled, math.nan),
     ("consistency_propagated", exact_oracle, "check_consistency", _shifted, math.nan),
-    ("free_energy_symmetry", cli, "free_energy", _u1_shifted, math.nan),
+    ("free_energy_symmetry", cli, "free_energy_betas", _u1_shifted, math.nan),
 ]
 
 
@@ -284,6 +295,15 @@ def per_draw_theta_form_errors(rng, draws):
         num = th1 * th1 * th * uy * uz + th1 * (uy + uz) + th
         den = th * uy * uz + th1 * (uy + uz) + th1 * th1 * th
         yield abs(0.5 * math.log(num / den) - child_to_parent(p, hy, hz))
+
+
+def per_draw_free_energy_symmetry_errors(rng, draws):
+    """verify's free-energy check drawn per point: two scalar ``free_energy``
+    reports, F(u3) and F(u1), per draw."""
+    for _ in range(draws):
+        params = cli._in_regime_params(rng)
+        yield abs(free_energy(params, "u3").f_extrapolated
+                  - free_energy(params, "u1").f_extrapolated)
 
 
 class TestVerifyCommand:
@@ -340,6 +360,12 @@ class TestVerifyCommand:
         per_draw = list(per_draw_theta_form_errors(np.random.default_rng(seed), 400))
         assert len(batched) == len(per_draw) == 400
         assert max(abs(a - b) for a, b in zip(batched, per_draw)) <= 1e-14
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_batched_free_energy_symmetry_matches_per_draw(self, seed):
+        batched = cli._free_energy_symmetry_errors(np.random.default_rng(seed), 10)
+        per_draw = list(per_draw_free_energy_symmetry_errors(np.random.default_rng(seed), 10))
+        assert batched == per_draw
 
     def test_theta_form_draws_are_the_per_draw_stream(self, monkeypatch):
         # One (draws, 4) array split into columns reads the doubles that a

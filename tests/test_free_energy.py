@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from cbtree import exact_oracle
 from cbtree.field_recursion import child_to_parent, propagate_inward, ti_fixed_points
 from cbtree.free_energy import (
+    _ln_z1,
     asymptotic_field_slope,
     effective_field,
     free_energy,
+    free_energy_betas,
     level_log_factor,
     ln2cosh,
     log_cosh_cross,
@@ -282,6 +284,22 @@ class TestFreeEnergy:
     def test_bad_branch(self):
         with pytest.raises(ValueError):
             free_energy(TWO_FIVE, "u9")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-3, 3), st.floats(-3, 3), st.floats(0.1, 3)),
+                    min_size=1, max_size=6),
+           st.sampled_from(["u1", "u3"]))
+    def test_betas_with_per_point_couplings(self, points, branch):
+        params = [ModelParams(J=j, J1=j1, beta=b) for j, j1, b in points]
+        reports = [free_energy(p, branch) for p in params]
+        J, J1, beta = np.array(points).T
+        u = [ti_fixed_points(p).branch(branch) for p in params]
+        got = free_energy_betas(J, J1, beta, u).tolist()
+        assert got == [r.f_extrapolated for r in reports]
+        # f_extrapolated carries ln Z_1 at a weight of 2**-30, so the depth-1
+        # base is held to ln_z[0] = ln Z_1 on its own.
+        h = np.array([r.h_star for r in reports])
+        assert _ln_z1(beta, J, J1, "full", (h, h, h)).tolist() == [r.ln_z[0] for r in reports]
 
     def test_n_max_within_float_range(self):
         # At beta = 1, ln Z_n overflows from n = 1022 and 3*beta*2**n from n = 1023.

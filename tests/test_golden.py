@@ -52,6 +52,8 @@ CASES = {
                                    "--grid", "theta=1:2:2"],
     "phase_diagram_nan_root_sum": ["phase-diagram", "--grid", "theta1=2:1e200:2",
                                    "--grid", "theta=1e-300:1:2", "--format", "json"],
+    "phase_diagram_inf_endpoint": ["phase-diagram", "--grid", "theta1=-inf:3:3",
+                                   "--grid", "theta=1:2:2"],
     "free_energy_csv": ["free-energy", "--theta", "5", "--theta1", "2", "--n-max", "6"],
     "free_energy_json_u1": ["free-energy", "--theta", "5", "--theta1", "2", "--branch", "u1",
                             "--n-max", "5", "--format", "json"],
@@ -77,6 +79,8 @@ CASES = {
                                 "--grid", "beta=1:100:4", "--depth", "4"],
     "beta_sweep_nan_root_sum": ["beta-sweep", "--J", "-6", "--J1", "9.9",
                                 "--grid", "beta=1:23.06:3", "--depth", "4"],
+    "beta_sweep_inf_endpoint": ["beta-sweep", "--J", "1", "--J1", "1",
+                                "--grid", "beta=1:inf:3"],
     "ground_state_csv": ["ground-state", "--J", "-0.5", "--J1", "1", "--grid", "beta=1:10:4"],
     "ground_state_depth3_json": ["ground-state", "--J", "-0.4", "--J1", "1",
                                  "--grid", "beta=3:6:2", "--depth", "3", "--format", "json"],

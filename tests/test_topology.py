@@ -43,6 +43,26 @@ def product_order_subtrees(tree: TreeIndex, v: int) -> list[frozenset]:
             for combo in itertools.product(*options)]
 
 
+def reference_boundary_census(tree: TreeIndex) -> tuple[int, int, frozenset | None]:
+    """The census as Python int-triple lists: per vertex, (members, neighbor
+    union, sibling union) of each rooted set in product order, and the
+    boundaries counted with ``int.bit_count``."""
+    n = tree.n_vertices
+    nbr = [sum(1 << w for w in tree.neighbors(v)) for v in range(n)]
+    sib = [sum(1 << w for w in tree.siblings(v)) for v in range(n)]
+    rooted: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for v in reversed(range(n)):
+        sets = [(1 << v, nbr[v], sib[v])]
+        for c in tree.children[v]:
+            opts = [(0, 0, 0)] + rooted[c]
+            sets = [(k | kc, d | dc, s | sc) for k, d, s in sets for kc, dc, sc in opts]
+        rooted[v] = sets
+    bad = [k for sets in rooted for k, d, s in sets
+           if (s & ~k).bit_count() > (d & ~k).bit_count()]
+    witness = frozenset(v for v in range(n) if bad[0] >> v & 1) if bad else None
+    return sum(map(len, rooted)), len(bad), witness
+
+
 class TestBuildTree:
     @pytest.mark.parametrize(
         "depth,mode,expected",
@@ -244,6 +264,12 @@ class TestBoundaryCensus:
                 violators.append(k)
         witness = violators[0] if violators else None
         assert boundary_census(tree) == (count, len(violators), witness)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3])
+    def test_matches_int_triple_reference(self, depth, mode):
+        tree = build_tree(depth, mode)
+        assert boundary_census(tree) == reference_boundary_census(tree)
 
     def test_depth_cap(self):
         with pytest.raises(ValueError, match="cap"):
