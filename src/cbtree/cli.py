@@ -99,8 +99,13 @@ def _cell(x) -> str:
     return _fmt(x)
 
 
-def _parse_grid_specs(specs) -> dict:
-    grids = {}
+def _parse_grid_specs(specs, axes) -> dict:
+    """The ``--grid`` specs of a command that reads ``axes``, as grids by axis.
+
+    Every spec is checked for its form and range before any is checked for
+    an axis outside ``axes`` or one given twice.
+    """
+    parsed = []
     for spec in specs or ():
         try:
             name, rng = spec.split("=", 1)
@@ -114,7 +119,15 @@ def _parse_grid_specs(specs) -> dict:
             raise UsageError(f"grid {spec!r} needs finite endpoints a finite distance apart")
         if count > 1 and not stop > start:
             raise UsageError(f"grid {spec!r} is not strictly increasing")
-        grids[name.strip()] = np.linspace(start, stop, count)
+        parsed.append((spec, name.strip(), np.linspace(start, stop, count)))
+    grids = {}
+    for spec, name, grid in parsed:
+        if name not in axes:
+            raise UsageError(f"grid {spec!r} names an axis this command does not read; "
+                             f"it reads {' and '.join(axes)}")
+        if name in grids:
+            raise UsageError(f"grid {spec!r} gives axis {name} a second time")
+        grids[name] = grid
     return grids
 
 
@@ -222,10 +235,13 @@ def _grid_lines(theta1s, thetas, regime, u1, u3):
 
 
 def cmd_phase_diagram(args: argparse.Namespace) -> _Result:
-    grids = _parse_grid_specs(args.grid)
+    grids = _parse_grid_specs(args.grid, ("theta1", "theta"))
     theta1_grid = _grid(grids, "theta1")
     theta_grid = _grid(grids, "theta")
     curve_out = args.curve_out
+    if curve_out is not None and args.fmt == "json":
+        raise UsageError("--curve-out takes the CSV curve; with --format json the curve "
+                         "is in the JSON document")
     if curve_out is None and args.out not in (None, "-"):
         curve_out = args.out + ".curve"
 
@@ -263,7 +279,7 @@ def cmd_free_energy(args: argparse.Namespace) -> _Result:
 
 def _beta_scan(args: argparse.Namespace) -> tuple[np.ndarray, dict, str]:
     """Beta grid, ``params`` block and CSV header line of a beta scan command."""
-    grids = _parse_grid_specs(args.grid)
+    grids = _parse_grid_specs(args.grid, ("beta",))
     if args.J is None or args.J1 is None:
         raise UsageError(f"{args.command} requires --J and --J1")
     header = f"{args.command} J={_fmt(args.J)} J1={_fmt(args.J1)} depth={args.depth}"
@@ -437,16 +453,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, point=False, grid=False, depth=None, fmt=True):
+    def add_common(p, point=(), grid=False, depth=None, fmt=True):
         p.add_argument("--out", default=None, help="output path ('-' or omit for stdout)")
         if fmt:
             p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
-        if point:
-            p.add_argument("--J", type=float, default=None)
-            p.add_argument("--J1", type=float, default=None)
-            p.add_argument("--beta", type=float, default=None)
-            p.add_argument("--theta", type=float, default=None)
-            p.add_argument("--theta1", type=float, default=None)
+        for option in point:
+            p.add_argument(option, type=float, default=None)
         if grid:
             p.add_argument("--grid", action="append", default=[],
                            metavar="AXIS=START:STOP:COUNT")
@@ -454,7 +466,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--depth", type=int, default=depth)
 
     p = sub.add_parser("fixed-points", help="constant-field fixed points at one point")
-    add_common(p, point=True)
+    add_common(p, point=_NUMERIC_OPTIONS)
 
     p = sub.add_parser("phase-diagram", help="regime classification over a theta grid")
     add_common(p, grid=True)
@@ -462,17 +474,17 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="critical-curve output path (default: derived from --out)")
 
     p = sub.add_parser("free-energy", help="free-energy report for one branch")
-    add_common(p, point=True)
+    add_common(p, point=_NUMERIC_OPTIONS)
     p.add_argument("--branch", choices=("u1", "u2", "u3"), default="u3")
     p.add_argument("--n-max", type=int, default=30)
     p.add_argument("--experimental-closed-form", action="store_true",
                    help="attach the experimental zero-temperature closed forms")
 
     p = sub.add_parser("beta-sweep", help="fixed couplings, beta grid")
-    add_common(p, point=True, grid=True, depth=2)
+    add_common(p, point=_COUPLING_OPTIONS, grid=True, depth=2)
 
     p = sub.add_parser("ground-state", help="extreme-configuration masses over a beta grid")
-    add_common(p, point=True, grid=True, depth=2)
+    add_common(p, point=_COUPLING_OPTIONS, grid=True, depth=2)
 
     p = sub.add_parser("lemma-check", help="exhaustive combinatorial bound sweep")
     add_common(p, depth=2)
@@ -487,10 +499,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# argparse reads "-1e-3" as an option, not a value, since its negative-number
-# pattern has no exponent; these options take the next token as their value
-# when it parses as a float.
-_NUMERIC_OPTIONS = ("--J", "--J1", "--beta", "--theta", "--theta1")
+# A point is (--J --J1 --beta) or (--theta --theta1); the beta scans take the
+# couplings alone.  argparse reads "-1e-3" as an option, not a value, since
+# its negative-number pattern has no exponent; these options take the next
+# token as their value when it parses as a float.
+_COUPLING_OPTIONS = ("--J", "--J1")
+_NUMERIC_OPTIONS = (*_COUPLING_OPTIONS, "--beta", "--theta", "--theta1")
 
 
 def _is_float(token: str) -> bool:

@@ -112,8 +112,8 @@ def _lse4(a: float, b: float, c: float, d: float) -> float:
     )
 
 
-def _lse4_array(*terms) -> np.ndarray:
-    return np.logaddexp.reduce(np.stack(np.broadcast_arrays(*terms)), axis=0)
+def _lse4_array(a, b, c, d) -> np.ndarray:
+    return np.logaddexp(np.logaddexp(np.logaddexp(a, b), c), d)
 
 
 def _lse(values):
@@ -130,9 +130,9 @@ def _lse(values):
 
 def _pair_log_weights(a1, aj, hy, hz, lse):
     """``pair_log_weights`` on a1 = 2*beta*J1 and aj = beta*J, through ``lse``."""
-    w_up = lse(a1 + aj + hy + hz, -aj - hy + hz, -aj + hy - hz, -a1 + aj - hy - hz)
-    w_down = lse(-a1 + aj + hy + hz, -aj - hy + hz, -aj + hy - hz, a1 + aj - hy - hz)
-    return w_up, w_down
+    up, down = a1 + aj, -a1 + aj
+    mixed = (-aj - hy + hz, -aj + hy - hz)
+    return lse(up + hy + hz, *mixed, down - hy - hz), lse(down + hy + hz, *mixed, up - hy - hz)
 
 
 def pair_log_weights(params: ModelParams, h_y, h_z):

@@ -152,6 +152,21 @@ class TestPhaseDiagramCommand:
     def test_missing_axis_rejected(self):
         assert main(["phase-diagram", "--grid", "theta1=2:3:2"]) == 2
 
+    @pytest.mark.parametrize("grids,message", [
+        (["beta=1:2:2", "theta1=3:2:5"], "error: grid 'theta1=3:2:5' is not strictly increasing"),
+        (["theta1=2:3:2", "theta1=5:6:2", "bad"], "error: bad grid spec 'bad'"),
+        (["beta=1:2:2", "theta1=2:3:2", "theta1=5:6:2"], "error: grid 'beta=1:2:2' names an axis"),
+        (["theta1=2:3:2", "theta1=5:6:2", "beta=1:2:2"], "error: grid 'theta1=5:6:2' gives axis"),
+        (["beta=1:2:2"], "error: grid 'beta=1:2:2' names an axis"),
+    ], ids=["range-before-foreign", "malformed-before-repeat", "foreign-in-order",
+            "repeat-in-order", "foreign-before-missing"])
+    def test_grid_message_order(self, grids, message, capsys):
+        argv = ["phase-diagram"]
+        for spec in grids:
+            argv += ["--grid", spec]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(message)
+
     def test_no_per_cell_scalar_solve(self, monkeypatch, capsys):
         calls = {"from_thetas": 0, "ti_fixed_points": 0}
         from_thetas = ModelParams.from_thetas.__func__
@@ -495,7 +510,7 @@ class TestBetaSweepCommand:
         J, J1, spec, depth = sweep
         args = cli._build_parser().parse_args(["beta-sweep", f"--J={J!r}", f"--J1={J1!r}",
                                                "--grid", spec, "--depth", str(depth)])
-        betas = cli._parse_grid_specs(args.grid)["beta"]
+        betas = cli._parse_grid_specs(args.grid, ("beta",))["beta"]
         tree = build_tree(depth, "full") if depth <= exact_oracle.FULL_ENUM_DEPTH_CAP else None
         try:
             expected = [reference_sweep_row(J, J1, b, tree) for b in betas]

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import math
 
@@ -7,8 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbtree import exact_oracle
-from cbtree.field_recursion import child_to_parent, propagate_inward, ti_fixed_points
+from cbtree.field_recursion import (
+    _lse4,
+    _lse4_array,
+    _pair_log_weights,
+    child_to_parent,
+    propagate_inward,
+    ti_fixed_points,
+)
 from cbtree.free_energy import (
+    _level_log_factor,
     _ln_z1,
     asymptotic_field_slope,
     effective_field,
@@ -45,6 +54,182 @@ def pair_weight_sums_oracle(params, hy, hz):
             )
         out.append(total)
     return out
+
+
+# The kernels as they were written before each ln(2 cosh) term was computed
+# once and the conversion layers went: every input is cast to a float64
+# array, a 0-d result is cast back to float, and the level factor evaluates
+# ln(2 cosh) ten times.  The rewritten kernels must equal them bit for bit.
+
+
+def reference_ln2cosh(x):
+    ax = np.abs(np.asarray(x, dtype=np.float64))
+    out = ax + np.log1p(np.exp(-2.0 * ax))
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
+def reference_log_cosh_even(shift, x):
+    return 0.25 * (reference_ln2cosh(np.asarray(x) - shift)
+                   + reference_ln2cosh(np.asarray(x) + shift))
+
+
+def reference_log_cosh_cross(shift, x, y):
+    return 0.5 * (reference_ln2cosh(np.asarray(x) - shift)
+                  + reference_ln2cosh(np.asarray(y) + shift))
+
+
+def reference_effective_field_core(bj, x):
+    return 0.5 * (reference_ln2cosh(x + bj) - reference_ln2cosh(x - bj))
+
+
+def reference_effective_field(x, params):
+    out = reference_effective_field_core(params.beta * params.J, np.asarray(x, dtype=np.float64))
+    if np.ndim(out) == 0:
+        return float(out)
+    return out
+
+
+def reference_level_log_factor(bj, bj1, hy, hz):
+    return (
+        reference_log_cosh_even(bj, bj1 + hz)
+        + reference_log_cosh_even(bj, -bj1 + hz)
+        + reference_log_cosh_cross(bj1, hy + reference_effective_field_core(bj, -bj1 + hz),
+                                   hy + reference_effective_field_core(bj, bj1 + hz))
+    )
+
+
+# The child-pair kernel as it was written before each term was computed once:
+# all eight four-term sums written out, and the array log-sum-exp reduced over
+# a stacked copy of the broadcast terms.  The rewritten forms must equal them
+# bit for bit.
+
+
+def reference_lse4_array(*terms):
+    return np.logaddexp.reduce(np.stack(np.broadcast_arrays(*terms)), axis=0)
+
+
+def reference_pair_log_weights(a1, aj, hy, hz, lse):
+    w_up = lse(a1 + aj + hy + hz, -aj - hy + hz, -aj + hy - hz, -a1 + aj - hy - hz)
+    w_down = lse(-a1 + aj + hy + hz, -aj - hy + hz, -aj + hy - hz, a1 + aj - hy - hz)
+    return w_up, w_down
+
+
+# The package re-exports the function free_energy under the module's name.
+free_energy_module = importlib.import_module("cbtree.free_energy")
+
+wide = st.floats(min_value=-1e4, max_value=1e4, allow_nan=False)
+
+
+def kernel_draws(seed: int, shape) -> np.ndarray:
+    """Floats over several scales, signs mixed, with some exact zeros."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-20.0, 20.0, shape) * 10.0 ** rng.integers(-3, 3, shape)
+    return np.where(rng.random(shape) < 0.02, 0.0, x)
+
+
+class TestKernelForms:
+    @settings(max_examples=300, deadline=None)
+    @given(wide, wide, wide, wide)
+    def test_floats_match_reference(self, bj, bj1, hy, hz):
+        params = ModelParams(J=bj, J1=bj1, beta=1.0)
+        assert ln2cosh(hy) == reference_ln2cosh(hy)
+        assert log_cosh_even(bj, hy) == reference_log_cosh_even(bj, hy)
+        assert log_cosh_cross(bj1, hy, hz) == reference_log_cosh_cross(bj1, hy, hz)
+        assert effective_field(hy, params) == reference_effective_field(hy, params)
+        assert level_log_factor(params, hy, hz) == reference_level_log_factor(bj, bj1, hy, hz)
+        assert _level_log_factor(bj, bj1, hy, hz) == reference_level_log_factor(bj, bj1, hy, hz)
+
+    def test_float_input_gives_numpy_float(self):
+        for value in (ln2cosh(0.3), log_cosh_even(0.1, 0.3), log_cosh_cross(0.1, 0.3, -0.2),
+                      effective_field(0.3, TWO_FIVE), level_log_factor(TWO_FIVE, 0.3, -0.2)):
+            assert type(value) is np.float64
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_arrays_match_reference(self, seed):
+        bj, bj1, hy, hz = kernel_draws(seed, (4, 1000))
+        params = ModelParams(J=float(bj[0]), J1=float(bj1[0]), beta=1.0)
+        assert np.array_equal(ln2cosh(hy), reference_ln2cosh(hy))
+        assert np.array_equal(log_cosh_even(bj, hy), reference_log_cosh_even(bj, hy))
+        assert np.array_equal(log_cosh_cross(bj1, hy, hz), reference_log_cosh_cross(bj1, hy, hz))
+        assert np.array_equal(effective_field(hy, params), reference_effective_field(hy, params))
+        assert np.array_equal(level_log_factor(params, hy, hz),
+                              reference_level_log_factor(bj[0], bj1[0], hy, hz))
+        assert np.array_equal(_level_log_factor(bj, bj1, hy, hz),
+                              reference_level_log_factor(bj, bj1, hy, hz))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_broadcast_matches_reference(self, seed):
+        # A theta1 column against a theta row, as the grid face lays them out.
+        bj1 = kernel_draws(seed, (50, 1))
+        bj = kernel_draws(seed + 1, (40,))
+        hy, hz = kernel_draws(seed + 2, (2, 50, 40))
+        got = _level_log_factor(bj, bj1, hy, hz)
+        assert got.shape == (50, 40)
+        assert np.array_equal(got, reference_level_log_factor(bj, bj1, hy, hz))
+
+    def test_level_factor_evaluates_ln2cosh_six_times(self, monkeypatch):
+        calls = []
+
+        def counting(x):
+            calls.append(1)
+            return ln2cosh(x)
+
+        monkeypatch.setattr(free_energy_module, "ln2cosh", counting)
+        _level_log_factor(0.4, -0.7, 1.1, 0.3)
+        assert len(calls) == 6
+
+
+class TestPairKernelForms:
+    @settings(max_examples=300, deadline=None)
+    @given(wide, wide, wide, wide)
+    def test_math_branch_matches_reference(self, bj, bj1, hy, hz):
+        params = ModelParams(J=bj, J1=bj1, beta=1.0)
+        a1, aj = 2.0 * bj1, bj
+        expected = reference_pair_log_weights(a1, aj, hy, hz, _lse4)
+        assert pair_log_weights(params, hy, hz) == expected
+        assert all(type(w) is float for w in expected)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_arrays_match_reference(self, seed):
+        a1, aj, hy, hz = kernel_draws(seed, (4, 1000))
+        got = _pair_log_weights(a1, aj, hy, hz, _lse4_array)
+        expected = reference_pair_log_weights(a1, aj, hy, hz, reference_lse4_array)
+        assert all(np.array_equal(g, e) for g, e in zip(got, expected, strict=True))
+        params = ModelParams(J=float(aj[0]), J1=0.5 * float(a1[0]), beta=1.0)
+        expected = reference_pair_log_weights(2.0 * params.J1, params.J, hy, hz,
+                                              reference_lse4_array)
+        got = pair_log_weights(params, hy, hz)
+        assert all(np.array_equal(g, e) for g, e in zip(got, expected, strict=True))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_grid_broadcast_matches_reference(self, seed):
+        # _solve_constant's layout: a theta1 column of 2*beta*J1, a theta row
+        # of beta*J, and the three candidate fields stacked over the block.
+        a1 = kernel_draws(seed, (50, 1))
+        aj = kernel_draws(seed + 1, (40,))
+        h = kernel_draws(seed + 2, (3, 50, 40))
+        got = _pair_log_weights(a1, aj, h, h, _lse4_array)
+        expected = reference_pair_log_weights(a1, aj, h, h, reference_lse4_array)
+        assert got[0].shape == got[1].shape == (3, 50, 40)
+        assert all(np.array_equal(g, e) for g, e in zip(got, expected, strict=True))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_lse4_matches_stacked_reduce(self, seed):
+        a, b, c, d = kernel_draws(seed, (4, 200)) * 50.0
+        shaped = (a[:, None], b[:40], c[0], d[:40].reshape(1, 40))  # broadcast to (200, 40)
+        for terms in ((a, b, c, d), shaped, (-np.inf, a, np.inf, b)):
+            assert np.array_equal(_lse4_array(*terms), reference_lse4_array(*terms))
+
+    def test_lse4_long_input(self):
+        terms = kernel_draws(5, (4, 10**6))
+        assert np.array_equal(_lse4_array(*terms), reference_lse4_array(*terms))
 
 
 class TestLn2Cosh:

@@ -3,16 +3,19 @@
 Each case runs ``cbtree.cli.main`` in process on fixed small inputs and
 compares the exit code, stdout, stderr and any file written through
 ``--out`` (with the phase-diagram ``.curve`` file) against
-``tests/golden/<case>.txt``.  After a deliberate output change, rewrite the
-files with ``PYTHONPATH=src python tests/test_golden.py`` and review the
-diff.
+``tests/golden/<case>.txt``.  argparse wraps its usage text to the terminal
+width, so the cases run at ``COLUMNS=80``.  After a deliberate output
+change, rewrite the files with ``PYTHONPATH=src python tests/test_golden.py``
+and review the diff.
 """
 
 import contextlib
 import io
+import os
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -54,6 +57,14 @@ CASES = {
                                    "--grid", "theta=1e-300:1:2", "--format", "json"],
     "phase_diagram_inf_endpoint": ["phase-diagram", "--grid", "theta1=-inf:3:3",
                                    "--grid", "theta=1:2:2"],
+    "phase_diagram_foreign_axis": ["phase-diagram", "--grid", "theta1=2:3:2",
+                                   "--grid", "theta=1:6:2", "--grid", "beta=1:2:2"],
+    "phase_diagram_repeated_axis": ["phase-diagram", "--grid", "theta1=2:3:2",
+                                    "--grid", "theta1=5:6:2", "--grid", "theta=1:6:2"],
+    # The JSON document holds the curve, so no curve file would be written.
+    "phase_diagram_json_curve_out": ["phase-diagram", "--grid", "theta1=2:3:2",
+                                     "--grid", "theta=1:6:2", "--format", "json",
+                                     "--curve-out", "{out}"],
     "free_energy_csv": ["free-energy", "--theta", "5", "--theta1", "2", "--n-max", "6"],
     "free_energy_json_u1": ["free-energy", "--theta", "5", "--theta1", "2", "--branch", "u1",
                             "--n-max", "5", "--format", "json"],
@@ -74,6 +85,11 @@ CASES = {
     "beta_sweep_beyond_cap": ["beta-sweep", "--J", "1", "--J1", "1",
                               "--grid", "beta=10:20:2", "--depth", "5"],
     "beta_sweep_no_couplings": ["beta-sweep", "--grid", "beta=1:2:2"],
+    # The beta scans take --J and --J1 only; beta comes from the grid.
+    "beta_sweep_point_options": ["beta-sweep", "--J", "1", "--J1", "1", "--beta", "5",
+                                 "--theta", "3", "--theta1", "9", "--grid", "beta=1:2:2"],
+    "beta_sweep_foreign_axis": ["beta-sweep", "--J", "1", "--J1", "1", "--grid", "beta=1:2:2",
+                                "--grid", "theta=3:4:2"],
     # beta=67 overflows theta1**2 before math.exp(2*beta*J1) overflows at beta=100.
     "beta_sweep_inf_root_sum": ["beta-sweep", "--J", "1", "--J1", "5",
                                 "--grid", "beta=1:100:4", "--depth", "4"],
@@ -81,6 +97,8 @@ CASES = {
                                 "--grid", "beta=1:23.06:3", "--depth", "4"],
     "beta_sweep_inf_endpoint": ["beta-sweep", "--J", "1", "--J1", "1",
                                 "--grid", "beta=1:inf:3"],
+    "ground_state_theta_option": ["ground-state", "--J", "-0.5", "--J1", "1", "--theta", "7",
+                                  "--grid", "beta=1:2:2"],
     "ground_state_csv": ["ground-state", "--J", "-0.5", "--J1", "1", "--grid", "beta=1:10:4"],
     "ground_state_depth3_json": ["ground-state", "--J", "-0.4", "--J1", "1",
                                  "--grid", "beta=3:6:2", "--depth", "3", "--format", "json"],
@@ -103,7 +121,8 @@ def run_case(argv: list[str], tmp_dir: Path) -> str:
     out_path = tmp_dir / "out"
     argv = [str(out_path) if a == "{out}" else a for a in argv]
     stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+            mock.patch.dict(os.environ, {"COLUMNS": "80"}):
         try:
             code = main(argv)
         except SystemExit as exc:
