@@ -170,19 +170,36 @@ class FreeEnergyReport:
     converged: bool
 
 
-def _constant_field_sequence(beta, J, J1, h, n):
-    """Level rate, ln Z_n and 3*beta*2**n of the constant field h on the full
-    tree, so that f_n = -ln Z_n / (3*beta*2**n).
+def _constant_field_sequence(beta, J, J1, h, n_max, n_min=1):
+    """Level rate, ln Z_n and f_n = -ln Z_n / (3*beta*2**n) for n = n_min ..
+    n_max of the constant field h on the full tree, and the Richardson value
+    2*f_n - f_{n-1} of the last two n.
 
-    ``beta``, ``J``, ``J1`` and ``h`` are floats or arrays of one shape; ``n``
-    broadcasts against them.  Where 2**n carries ln Z_n or 3*beta*2**n
-    beyond the float range, the value is infinite.
+    ``beta``, ``J``, ``J1`` and ``h`` are floats or arrays of one shape; n
+    runs along a new leading axis.  Raises ValueError for the first point
+    where 2**n_max carries ln Z_n or 3*beta*2**n beyond the float range, or
+    where beta carries f_n or the Richardson value beyond it (and with them
+    -rate/(2*beta), which the Richardson value equals to rounding).
     """
+    # 2**n is inf from n = maxexp on, so a longer sequence is refused at maxexp.
+    n = np.arange(n_min, min(n_max, np.finfo(np.float64).maxexp) + 1)
+    n = n.reshape(n.shape + (1,) * np.ndim(h))
     rate = _level_log_factor(beta * J, beta * J1, h, h)
     ln_z1 = _ln_z1(beta, J, J1, "full", (h, h, h))
     with np.errstate(over="ignore", invalid="ignore"):
         ln_z = ln_z1 + 3.0 * (np.ldexp(1.0, n - 1) - 1.0) * rate
-        return rate, ln_z, 3.0 * beta * np.ldexp(1.0, n)
+        norm = 3.0 * beta * np.ldexp(1.0, n)
+        f_n = -ln_z / norm
+        f_extrapolated = 2.0 * f_n[-1] - f_n[-2]
+    fits = np.isfinite(ln_z[-1]) & np.isfinite(norm[-1])
+    ok = fits & np.isfinite(f_n).all(axis=0) & np.isfinite(f_extrapolated)
+    if not ok.all():
+        i = np.flatnonzero(~ok)[0]
+        if not fits.flat[i]:
+            raise ValueError(f"n_max={n_max} carries ln Z_n or 3*beta*2**n beyond the float range")
+        beta = float(np.broadcast_to(beta, ok.shape).flat[i])
+        raise ValueError(f"beta={beta!r} carries the free energy beyond the float range")
+    return rate, ln_z, f_n, f_extrapolated
 
 
 N_MAX = 30  # default length of the f_n sequence
@@ -191,24 +208,20 @@ N_MAX = 30  # default length of the f_n sequence
 def free_energy(params: ModelParams, branch: str = "u3", n_max: int = N_MAX) -> FreeEnergyReport:
     """Free energy of one constant-field branch, with its finite-n record.
 
-    Refuses an ``n_max`` whose 2**n_max carries ln Z_n or 3*beta*2**n beyond
-    the float range (ValueError).
+    Refuses (ValueError) an ``n_max`` whose 2**n_max carries ln Z_n or
+    3*beta*2**n beyond the float range, and a beta that carries f_n or its
+    extrapolation beyond it.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     fps = ti_fixed_points(params)
     u = fps.branch(branch)
     h = 0.5 * math.log(u)
-    # 2**n is inf from n = maxexp on, so a longer sequence is refused at maxexp.
-    n = np.arange(1, min(n_max, np.finfo(np.float64).maxexp) + 1)
-    rate, ln_z, norm = _constant_field_sequence(params.beta, params.J, params.J1, h, n)
-    if not (math.isfinite(ln_z[-1]) and math.isfinite(norm[-1])):
-        raise ValueError(f"n_max={n_max} carries ln Z_n or 3*beta*2**n beyond the float range")
-    f_n = (-ln_z / norm).tolist()
-    f_extrapolated = 2.0 * f_n[-1] - f_n[-2]
+    rate, ln_z, f_n, f_extrapolated = _constant_field_sequence(
+        params.beta, params.J, params.J1, h, n_max)
+    rate, f_n, f_extrapolated = float(rate), f_n.tolist(), float(f_extrapolated)
     tail_gap = abs(f_n[-1] - f_n[-2])
     converged = tail_gap <= 1e-9 * max(1.0, abs(f_extrapolated))
-    rate = float(rate)
     return FreeEnergyReport(
         branch=branch,
         u_star=u,
@@ -227,12 +240,12 @@ def free_energy(params: ModelParams, branch: str = "u3", n_max: int = N_MAX) -> 
 def free_energy_betas(J, J1, betas, u) -> np.ndarray:
     """``free_energy(ModelParams(J, J1, beta), branch).f_extrapolated`` per
     point, bit for bit, where ``u`` holds the branch's fixed point per point
-    and ``J``, ``J1`` are floats or, like ``betas``, arrays of one per point."""
+    and ``J``, ``J1`` are floats or, like ``betas``, arrays of one per point.
+    Raises the ValueError that ``free_energy`` raises for the first point
+    that it refuses."""
     h = np.array([0.5 * math.log(x) for x in np.asarray(u, dtype=np.float64).tolist()])
     betas = np.asarray(betas, dtype=np.float64)
-    _, ln_z, norm = _constant_field_sequence(betas, J, J1, h, np.array([[N_MAX - 1], [N_MAX]]))
-    f_n = -ln_z / norm
-    return 2.0 * f_n[1] - f_n[0]
+    return _constant_field_sequence(betas, J, J1, h, N_MAX, N_MAX - 1)[3]
 
 
 def asymptotic_field_slope(J: float, J1: float) -> float:

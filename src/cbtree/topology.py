@@ -207,14 +207,8 @@ def _rooted_subtrees(tree: TreeIndex) -> list[np.ndarray]:
     return rooted
 
 
-@lru_cache(maxsize=None)
-def _byte_ids(j: int) -> tuple[tuple[int, ...], ...]:
-    """Vertex ids in each value of byte j of a mask; subset masks fit in 3 bytes."""
-    return tuple(tuple(8 * j + v for v in range(8) if b >> v & 1) for b in range(256))
-
-
 def _members(k: int) -> frozenset[int]:
-    return frozenset(_byte_ids(0)[k & 255] + _byte_ids(1)[k >> 8 & 255] + _byte_ids(2)[k >> 16])
+    return frozenset(v for v in range(k.bit_length()) if k >> v & 1)
 
 
 def connected_subsets(tree: TreeIndex, max_count: int) -> Iterator[frozenset[int]]:

@@ -349,13 +349,15 @@ class TestVerifyCommand:
         r2 = run_verification(seed=2)
         assert r1["all_pass"] and r2["all_pass"]
 
-    def test_injected_failure(self, tmp_path, capsys):
-        out = tmp_path / "verify.json"
-        assert main(["verify", "--inject-failure", "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert "level_factor_identity_injected" in err
-        doc = json.loads(out.read_text())
-        assert doc["all_pass"] is False
+    def test_report_holds_seed_checks_and_status(self):
+        assert list(run_verification(seed=3)) == ["seed", "checks", "all_pass"]
+
+    def test_no_failure_hook(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--inject-failure"])
+        assert info.value.code == 2
+        assert "cbtree verify: error: unrecognized arguments: --inject-failure" in \
+            capsys.readouterr().err
 
     def test_check_names(self):
         assert [c["check_name"] for c in run_verification()["checks"]] == CHECK_NAMES
@@ -407,8 +409,11 @@ class TestVerifyCommand:
         monkeypatch.setattr(owner, attr, perturb(getattr(owner, attr), eps))
         out = tmp_path / "verify.json"
         assert main(["verify", "--out", str(out)]) == 1
-        assert name in capsys.readouterr().err
-        check = {c["check_name"]: c for c in json.loads(out.read_text())["checks"]}[name]
+        err = capsys.readouterr().err
+        assert err.startswith("verification failed:") and name in err
+        doc = json.loads(out.read_text())
+        assert doc["all_pass"] is False
+        check = {c["check_name"]: c for c in doc["checks"]}[name]
         assert check["pass"] is False
         assert (check["max_error"] is None) == math.isnan(eps)
 
@@ -508,8 +513,8 @@ class TestBetaSweepCommand:
     @given(sweep_grids())
     def test_rows_match_per_beta_solve(self, sweep):
         J, J1, spec, depth = sweep
-        args = cli._build_parser().parse_args(["beta-sweep", f"--J={J!r}", f"--J1={J1!r}",
-                                               "--grid", spec, "--depth", str(depth)])
+        args = cli._build_parser()[0].parse_args(["beta-sweep", f"--J={J!r}", f"--J1={J1!r}",
+                                                  "--grid", spec, "--depth", str(depth)])
         betas = cli._parse_grid_specs(args.grid, ("beta",))["beta"]
         tree = build_tree(depth, "full") if depth <= exact_oracle.FULL_ENUM_DEPTH_CAP else None
         try:
@@ -580,6 +585,16 @@ class TestFreeEnergyCommand:
         assert asym["closed_form_corrected"] == pytest.approx(-2.5, abs=1e-12)
         assert asym["closed_form_verbatim"] == pytest.approx(-2.0, abs=1e-12)
         assert asym["method"] == "numeric_limit"
+
+    def test_closed_form_without_json_refused_before_solving(self, monkeypatch, capsys):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("solved before the refusal")
+
+        monkeypatch.setattr(cli, "free_energy", unreachable)
+        monkeypatch.setattr(cli, "zero_temperature_limit", unreachable)
+        assert main(["free-energy", "--J", "1", "--J1", "1", "--beta", "20",
+                     "--experimental-closed-form"]) == 2
+        assert "--experimental-closed-form" in capsys.readouterr().err
 
     def test_csv_sequence(self, tmp_path):
         out = tmp_path / "fe.csv"

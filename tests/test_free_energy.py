@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -494,6 +495,34 @@ class TestFreeEnergy:
         for n_max in (1022, 1023, 1024, 1025, 10**12):
             with pytest.raises(ValueError, match=f"n_max={n_max} "):
                 free_energy(params, "u3", n_max=n_max)
+
+    @pytest.mark.parametrize("beta,n_max", [(5e-309, 30), (1e-310, 30), (1e-310, 3),
+                                            (5e-324, 2)])
+    def test_beta_beyond_float_range(self, beta, n_max):
+        # 2*f_n - f_{n-1} overflows at 5e-309, f_1 itself below about 2.6e-309.
+        params = ModelParams(J=1.0, J1=1.0, beta=beta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^beta={beta!r} carries"):
+                free_energy(params, "u3", n_max=n_max)
+
+    def test_small_beta_within_float_range(self):
+        rep = free_energy(ModelParams(J=1.0, J1=1.0, beta=1e-300), "u3")
+        assert all(map(math.isfinite, rep.f_n + (rep.f_extrapolated, rep.f_const_field)))
+
+    def test_betas_raise_for_the_first_refused_point(self):
+        # The n_max refusal of beta = 1e300 (3*beta*2**30 overflows) and the
+        # beta refusal of 1e-320 are each raised as free_energy raises them.
+        J, J1 = 1e-300, 1e-300
+        for betas, match in (([1.0, 1e300, 1e-320], "^n_max=30 "),
+                             ([1.0, 1e-320, 1e300], r"^beta=1e-320 ")):
+            u = [ti_fixed_points(ModelParams(J=J, J1=J1, beta=b)).u3 for b in betas]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=match):
+                    free_energy_betas(J, J1, betas, u)
+            with pytest.raises(ValueError, match=match):
+                free_energy(ModelParams(J=J, J1=J1, beta=betas[1]), "u3")
 
 
 class TestAsymptoticFieldSlope:

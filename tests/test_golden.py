@@ -76,6 +76,11 @@ CASES = {
                                    "--n-max", "1023"],
     "free_energy_beta_j_overflow": ["free-energy", "--J", "1e308", "--J1", "1",
                                     "--beta", "10"],
+    # The closed forms go into the JSON document only: refused before solving.
+    "free_energy_closed_form_csv": ["free-energy", "--J", "1", "--J1", "1", "--beta", "20",
+                                    "--experimental-closed-form"],
+    # f_const_field fits a float at this beta, 2*f_n - f_{n-1} does not.
+    "free_energy_tiny_beta": ["free-energy", "--J", "1", "--J1", "1", "--beta", "5e-309"],
     # 2*beta*J1 = 800 fits a float, exp(800) does not.
     "free_energy_theta1_overflow": ["free-energy", "--J", "1", "--J1", "400", "--beta", "1"],
     "beta_sweep_out": ["beta-sweep", "--J", "1", "--J1", "1", "--grid", "beta=0.1:10:4",
@@ -90,6 +95,9 @@ CASES = {
                                  "--theta", "3", "--theta1", "9", "--grid", "beta=1:2:2"],
     "beta_sweep_foreign_axis": ["beta-sweep", "--J", "1", "--J1", "1", "--grid", "beta=1:2:2",
                                 "--grid", "theta=3:4:2"],
+    # f_n at the subnormal grid beta is infinite.
+    "beta_sweep_tiny_beta": ["beta-sweep", "--J", "1", "--J1", "1",
+                             "--grid", "beta=1e-320:1:2"],
     # beta=67 overflows theta1**2 before math.exp(2*beta*J1) overflows at beta=100.
     "beta_sweep_inf_root_sum": ["beta-sweep", "--J", "1", "--J1", "5",
                                 "--grid", "beta=1:100:4", "--depth", "4"],
@@ -112,7 +120,6 @@ CASES = {
     "lemma_check_depth3": ["lemma-check", "--depth", "3"],
     "lemma_check_depth4": ["lemma-check", "--depth", "4"],
     "verify_seed0": ["verify", "--seed", "0"],
-    "verify_injected": ["verify", "--seed", "0", "--inject-failure", "--out", "{out}"],
 }
 
 
@@ -139,6 +146,10 @@ def run_case(argv: list[str], tmp_dir: Path) -> str:
 def test_golden(name, tmp_path):
     expected = (GOLDEN_DIR / f"{name}.txt").read_bytes().decode("utf-8")
     assert run_case(CASES[name], tmp_path) == expected
+
+
+def test_every_golden_file_has_a_case():
+    assert sorted(p.stem for p in GOLDEN_DIR.glob("*.txt")) == sorted(CASES)
 
 
 def test_negative_exponent_matches_joined_spelling(tmp_path):
