@@ -62,7 +62,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 
 class UsageError(Exception):
@@ -275,7 +275,7 @@ def cmd_free_energy(args: argparse.Namespace) -> _Result:
         list(zip(range(1, len(rep.ln_z) + 1), rep.ln_z, rep.f_n)),
         (f"free-energy J={_fmt(params.J)} J1={_fmt(params.J1)} beta={_fmt(params.beta)} "
          f"branch={rep.branch}",
-         f"f_extrapolated={_fmt(rep.f_extrapolated)} f_const_field={_fmt(rep.f_const_field)}"),
+         f"f_const_field={_fmt(rep.f_const_field)}"),
     )
     return _Result(payload, [(args.out, table)])
 
@@ -414,10 +414,10 @@ def run_verification(seed: int = 0) -> dict:
     ``_pair_log_weights``).  The last solves each draw with the scalar
     ``ti_fixed_points`` and takes F(u3) and F(u1) of all its draws from
     ``free_energy_betas`` with per-draw couplings, bit-identical to
-    ``free_energy`` per draw; the middle two go per draw through the scalar
-    faces.  An error that is NaN or infinite on any draw fails its check
-    with ``max_error`` None; otherwise a check passes when its largest error
-    is below ``tol``.
+    ``free_energy``'s ``f_const_field`` per draw; the middle two go per
+    draw through the scalar faces.  An error that is NaN or infinite on any
+    draw fails its check with ``max_error`` None; otherwise a check passes
+    when its largest error is below ``tol``.
     """
     checks = []
     for name, draws, tol, errors in _CHECKS:
@@ -528,9 +528,16 @@ def _join_numeric_values(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser, commands = _build_parser()
-    args, extra = parser.parse_known_args(_join_numeric_values(argv))
+    argv = _join_numeric_values(argv)
+    args, extra = parser.parse_known_args(argv)
     if extra:
-        commands[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
+        # argparse lists the leftovers before the command first, then the
+        # command's own, which its parser finds again in the tokens after it.
+        cmd_parser = commands[args.command]
+        own = cmd_parser.parse_known_args(argv[argv.index(args.command) + 1:])[1]
+        if len(own) < len(extra):
+            parser.error(f"unrecognized arguments: {' '.join(extra[:len(extra) - len(own)])}")
+        cmd_parser.error(f"unrecognized arguments: {' '.join(extra)}")
     # Looked up at call time, so a rebinding of a cmd_* attribute is used.
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:

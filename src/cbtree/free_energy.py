@@ -10,12 +10,13 @@ recursion that takes their half-difference and re-exported here), which
 is the central identity the test suite hammers on.
 
 With the base ln Z_1 enumerated directly (16 terms on the full tree, 8 on
-the half tree), telescoping the factors reproduces ln Z_n exactly.  The
-free energy is the n -> infinity limit of -ln Z_n / (3 * beta * 2**n); for
-a constant field h it equals -level_log_factor(h, h) / (2 * beta).  The
-kernels and the depth-1 base run on arrays of points as well, which is how
-``free_energy_betas`` gives a whole beta axis, or a set of points with
-their own couplings, the bits ``free_energy`` gives each point.
+the half tree), telescoping the factors reproduces ln Z_n exactly.  Under a
+constant field h every parent contributes the same factor, the level rate,
+so the free energy -lim ln Z_n / (3 * beta * 2**n) is -rate / (2 * beta) in
+closed form.  That is the one value of F: ``free_energy`` reports it next
+to the finite-depth record ln Z_n, and ``free_energy_betas`` evaluates it
+over arrays of points (a beta axis, or points with their own couplings) in
+the bits ``free_energy`` gives each point.
 
 Everything beta-dependent flows through ``ln2cosh``; beta = 50 stays well
 inside float range.
@@ -107,23 +108,16 @@ def _z1_terms(n_children: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _Z1_TERMS = {"full": _z1_terms(3), "half": _z1_terms(2)}
 
 
-def _ln_z1(beta, J, J1, mode: str, child_fields):
+def _ln_z1(beta: float, J: float, J1: float, mode: str, child_fields) -> float:
     """Depth-1 log partition function by direct enumeration.
 
     The root of a full tree has three children, which the two-child
     recursion never touches; enumerating the 16 (full) or 8 (half) terms
-    keeps the base exact.  ``beta``, ``J``, ``J1`` and each child field are
-    floats, or arrays of one shape for one base per point, in the same float
-    operations either way.
+    keeps the base exact.  The child fields are added one child at a time.
     """
     pair, edge, spins = _Z1_TERMS[mode]
-    if len(child_fields) != spins.shape[1]:
-        raise ValueError(f"expected {spins.shape[1]} child fields, got {len(child_fields)}")
-    field = 0.0
-    for h, s in zip(child_fields, spins.T):  # one child at a time, as the float sum runs
-        field = field + np.multiply.outer(h, s)
-    couplings = np.multiply.outer(J, pair) + np.multiply.outer(J1, edge)
-    return _lse(np.asarray(beta)[..., None] * couplings + field)
+    field = sum(h * s for h, s in zip(child_fields, spins.T))
+    return _lse(beta * (J * pair + J1 * edge) + field)
 
 
 def log_partition_recursive(params: ModelParams, fields: FieldAssignment, depth: int | None = None) -> float:
@@ -147,14 +141,15 @@ def log_partition_recursive(params: ModelParams, fields: FieldAssignment, depth:
 
 @dataclass(frozen=True)
 class FreeEnergyReport:
-    """Free-energy sequence for one constant-field branch on the full tree.
+    """Free energy of one constant-field branch on the full tree.
 
-    ``f_n = -ln Z_n / (3 beta 2**n)`` converges geometrically; Richardson
-    extrapolation of the last two terms removes the 2**-n tail exactly, so
-    ``f_extrapolated`` agrees with the closed form ``f_const_field =
-    -level_rate / (2 beta)`` to rounding.  ``level_rate`` itself is the raw
-    per-parent log factor, reported for anyone who wants the unnormalized
-    display convention.
+    ``f_const_field = -level_rate / (2 beta)`` is the free energy.  ``ln_z``
+    and ``f_n = -ln Z_n / (3 beta 2**n)`` for n = 1 .. n_max are the
+    finite-depth record: ``ln_z[n-1]`` is ln Z of the depth-n full tree
+    under the boundary field ``h_star``.  ln Z_n is affine in 2**n, so
+    ``f_extrapolated = 2 f_n - f_{n-1}`` of the last two terms equals
+    ``f_const_field`` up to rounding; it is part of the record, not a
+    second value of F.  ``level_rate`` is the raw per-parent log factor.
     """
 
     branch: str
@@ -166,86 +161,65 @@ class FreeEnergyReport:
     f_n: tuple[float, ...]
     f_extrapolated: float
     f_const_field: float
-    tail_gap: float
-    converged: bool
 
 
-def _constant_field_sequence(beta, J, J1, h, n_max, n_min=1):
-    """Level rate, ln Z_n and f_n = -ln Z_n / (3*beta*2**n) for n = n_min ..
-    n_max of the constant field h on the full tree, and the Richardson value
-    2*f_n - f_{n-1} of the last two n.
-
-    ``beta``, ``J``, ``J1`` and ``h`` are floats or arrays of one shape; n
-    runs along a new leading axis.  Raises ValueError for the first point
-    where 2**n_max carries ln Z_n or 3*beta*2**n beyond the float range, or
-    where beta carries f_n or the Richardson value beyond it (and with them
-    -rate/(2*beta), which the Richardson value equals to rounding).
-    """
-    # 2**n is inf from n = maxexp on, so a longer sequence is refused at maxexp.
-    n = np.arange(n_min, min(n_max, np.finfo(np.float64).maxexp) + 1)
-    n = n.reshape(n.shape + (1,) * np.ndim(h))
-    rate = _level_log_factor(beta * J, beta * J1, h, h)
-    ln_z1 = _ln_z1(beta, J, J1, "full", (h, h, h))
-    with np.errstate(over="ignore", invalid="ignore"):
-        ln_z = ln_z1 + 3.0 * (np.ldexp(1.0, n - 1) - 1.0) * rate
-        norm = 3.0 * beta * np.ldexp(1.0, n)
-        f_n = -ln_z / norm
-        f_extrapolated = 2.0 * f_n[-1] - f_n[-2]
-    fits = np.isfinite(ln_z[-1]) & np.isfinite(norm[-1])
-    ok = fits & np.isfinite(f_n).all(axis=0) & np.isfinite(f_extrapolated)
-    if not ok.all():
-        i = np.flatnonzero(~ok)[0]
-        if not fits.flat[i]:
-            raise ValueError(f"n_max={n_max} carries ln Z_n or 3*beta*2**n beyond the float range")
-        beta = float(np.broadcast_to(beta, ok.shape).flat[i])
-        raise ValueError(f"beta={beta!r} carries the free energy beyond the float range")
-    return rate, ln_z, f_n, f_extrapolated
-
-
-N_MAX = 30  # default length of the f_n sequence
+N_MAX = 30  # default length of the finite-depth record
 
 
 def free_energy(params: ModelParams, branch: str = "u3", n_max: int = N_MAX) -> FreeEnergyReport:
-    """Free energy of one constant-field branch, with its finite-n record.
+    """Free energy of one constant-field branch, with its finite-depth record.
 
-    Refuses (ValueError) an ``n_max`` whose 2**n_max carries ln Z_n or
-    3*beta*2**n beyond the float range, and a beta that carries f_n or its
-    extrapolation beyond it.
+    Refuses (ValueError) an ``n_max`` whose 2**n_max carries ln Z_n beyond
+    the float range, and a beta that carries F or a record value beyond it.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
-    fps = ti_fixed_points(params)
-    u = fps.branch(branch)
+    u = ti_fixed_points(params).branch(branch)
     h = 0.5 * math.log(u)
-    rate, ln_z, f_n, f_extrapolated = _constant_field_sequence(
-        params.beta, params.J, params.J1, h, n_max)
-    rate, f_n, f_extrapolated = float(rate), f_n.tolist(), float(f_extrapolated)
-    tail_gap = abs(f_n[-1] - f_n[-2])
-    converged = tail_gap <= 1e-9 * max(1.0, abs(f_extrapolated))
+    beta, J, J1 = params.beta, params.J, params.J1
+    rate = float(_level_log_factor(beta * J, beta * J1, h, h))
+    # 2**n is inf from n = maxexp on, so a longer record is refused at maxexp.
+    n = np.arange(1, min(n_max, np.finfo(np.float64).maxexp) + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ln_z = _ln_z1(beta, J, J1, "full", (h, h, h)) + 3.0 * (np.ldexp(1.0, n - 1) - 1.0) * rate
+        # Divided by beta last, so beta*2**n never has to fit a float.
+        f_n = (-(ln_z / (3.0 * np.ldexp(1.0, n))) / beta).tolist()
+    # rate >= ln 4 (each pair weight sums four exponentials whose exponents
+    # sum to 0), so ln Z_n leaves the float range before 3*2**n does.
+    if not math.isfinite(ln_z[-1]):
+        raise ValueError(f"n_max={n_max} carries ln Z_n beyond the float range")
+    f_extrapolated = 2.0 * f_n[-1] - f_n[-2]
+    f_const_field = -rate / (2.0 * beta)
+    if not all(map(math.isfinite, (*f_n, f_extrapolated, f_const_field))):
+        raise ValueError(f"beta={beta!r} carries the free energy beyond the float range")
     return FreeEnergyReport(
         branch=branch,
         u_star=u,
         h_star=h,
-        beta=params.beta,
+        beta=beta,
         level_rate=rate,
         ln_z=tuple(ln_z.tolist()),
         f_n=tuple(f_n),
         f_extrapolated=f_extrapolated,
-        f_const_field=-rate / (2.0 * params.beta),
-        tail_gap=tail_gap,
-        converged=converged,
+        f_const_field=f_const_field,
     )
 
 
 def free_energy_betas(J, J1, betas, u) -> np.ndarray:
-    """``free_energy(ModelParams(J, J1, beta), branch).f_extrapolated`` per
-    point, bit for bit, where ``u`` holds the branch's fixed point per point
-    and ``J``, ``J1`` are floats or, like ``betas``, arrays of one per point.
-    Raises the ValueError that ``free_energy`` raises for the first point
-    that it refuses."""
+    """F = -level_rate / (2 beta) per point: ``free_energy(ModelParams(J, J1,
+    beta), branch).f_const_field`` bit for bit, where ``u`` holds the
+    branch's fixed point per point and ``J``, ``J1`` are floats or, like
+    ``betas``, arrays of one per point.  Raises ValueError for the first
+    point whose F leaves the float range."""
     h = np.array([0.5 * math.log(x) for x in np.asarray(u, dtype=np.float64).tolist()])
     betas = np.asarray(betas, dtype=np.float64)
-    return _constant_field_sequence(betas, J, J1, h, N_MAX, N_MAX - 1)[3]
+    with np.errstate(over="ignore"):
+        f = -_level_log_factor(betas * J, betas * J1, h, h) / (2.0 * betas)
+    refused = np.flatnonzero(~np.isfinite(f))
+    if refused.size:
+        beta = float(betas.flat[refused[0]])
+        raise ValueError(f"beta={beta!r} carries the free energy beyond the float range")
+    return f
 
 
 def asymptotic_field_slope(J: float, J1: float) -> float:
@@ -312,12 +286,13 @@ def zero_temperature_limit(
     betas = sorted(float(b) for b in beta_samples)
     if len(betas) < 2:
         raise ValueError("need at least two beta samples")
-    samples = []
+    u3 = []
     for b in betas:
-        params = ModelParams(J=J, J1=J1, beta=b)
-        if ti_fixed_points(params).regime != REGIME_THREE:
+        fps = ti_fixed_points(ModelParams(J=J, J1=J1, beta=b))
+        if fps.regime != REGIME_THREE:
             raise ValueError(f"beta={b} is outside the three-solution regime; raise the samples")
-        samples.append((b, free_energy(params, "u3").f_extrapolated))
+        u3.append(fps.u3)
+    samples = tuple(zip(betas, free_energy_betas(J, J1, betas, u3).tolist()))
     limit = samples[-1][1]
     stable = abs(samples[-1][1] - samples[-2][1]) < 1e-3
     slope = asymptotic_field_slope(J, J1)
@@ -326,7 +301,7 @@ def zero_temperature_limit(
         limit=limit,
         method="numeric_limit",
         stable=stable,
-        samples=tuple(samples),
+        samples=samples,
         closed_form_verbatim=_closed_form_limit(J, J1, slope, corrected=False),
         closed_form_corrected=_closed_form_limit(J, J1, slope, corrected=True),
     )

@@ -263,11 +263,11 @@ def test_c8_free_energy_symmetry_and_asymptote():
     for beta in (2.0, 5.0, 10.0, 20.0, 50.0):
         params = ModelParams(J=1.0, J1=1.0, beta=beta)
         gap = abs(
-            free_energy(params, "u3").f_extrapolated
-            - free_energy(params, "u1").f_extrapolated
+            free_energy(params, "u3").f_const_field
+            - free_energy(params, "u1").f_const_field
         )
         assert gap < 1e-10
-    f50 = free_energy(ModelParams(J=1.0, J1=1.0, beta=50.0), "u3").f_extrapolated
+    f50 = free_energy(ModelParams(J=1.0, J1=1.0, beta=50.0), "u3").f_const_field
     assert abs(f50 - (-2.5)) < 0.05
 
     params = ModelParams(J=-0.5, J1=1.0, beta=20.0)

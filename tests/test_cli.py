@@ -317,8 +317,8 @@ def per_draw_free_energy_symmetry_errors(rng, draws):
     reports, F(u3) and F(u1), per draw."""
     for _ in range(draws):
         params = cli._in_regime_params(rng)
-        yield abs(free_energy(params, "u3").f_extrapolated
-                  - free_energy(params, "u1").f_extrapolated)
+        yield abs(free_energy(params, "u3").f_const_field
+                  - free_energy(params, "u1").f_const_field)
 
 
 class TestVerifyCommand:
@@ -423,8 +423,8 @@ def reference_sweep_row(J, J1, beta, tree):
     two ``free_energy`` reports per beta."""
     params = ModelParams(J=J, J1=J1, beta=float(beta))
     fps = ti_fixed_points(params)
-    f3 = free_energy(params, "u3").f_extrapolated
-    f1 = free_energy(params, "u1").f_extrapolated
+    f3 = free_energy(params, "u3").f_const_field
+    f1 = free_energy(params, "u1").f_const_field
     mass_plus = None
     if tree is not None and fps.regime == REGIME_THREE:
         mass_plus = exact_oracle.plus_minus_mass(tree, params, fps.h3)[0]

@@ -19,7 +19,6 @@ from cbtree.field_recursion import (
 )
 from cbtree.free_energy import (
     _level_log_factor,
-    _ln_z1,
     asymptotic_field_slope,
     effective_field,
     free_energy,
@@ -436,27 +435,26 @@ class TestFreeEnergy:
     def test_free_spins_value(self):
         params = ModelParams(J=0.0, J1=0.0, beta=2.0)
         rep = free_energy(params, "u2")
-        assert rep.f_extrapolated == pytest.approx(-math.log(2.0) / 2.0, rel=1e-12)
+        assert rep.f_const_field == pytest.approx(-math.log(2.0) / 2.0, rel=1e-12)
 
     def test_branch_symmetry(self):
         r3 = free_energy(TWO_FIVE, "u3")
         r1 = free_energy(TWO_FIVE, "u1")
-        assert abs(r3.f_extrapolated - r1.f_extrapolated) < 1e-10
+        assert abs(r3.f_const_field - r1.f_const_field) < 1e-10
 
     def test_extrapolation_matches_constant_field_closed_form(self):
         rep = free_energy(TWO_FIVE, "u3")
         assert rep.f_extrapolated == pytest.approx(rep.f_const_field, abs=1e-10)
-        assert rep.converged
 
     def test_low_temperature_value(self):
         params = ModelParams(J=1.0, J1=1.0, beta=50.0)
         rep = free_energy(params, "u3")
-        assert abs(rep.f_extrapolated - (-2.5)) < 0.05
+        assert abs(rep.f_const_field - (-2.5)) < 0.05
 
     def test_geometric_tail(self):
         rep = free_energy(TWO_FIVE, "u3", n_max=25)
         f = rep.f_n
-        limit = rep.f_extrapolated
+        limit = rep.f_const_field
         c = abs(f[0] - limit) * 2.0
         for n, fn in enumerate(f, start=1):
             assert abs(fn - limit) <= c * 2.0**-n + 1e-15
@@ -481,14 +479,21 @@ class TestFreeEnergy:
         J, J1, beta = np.array(points).T
         u = [ti_fixed_points(p).branch(branch) for p in params]
         got = free_energy_betas(J, J1, beta, u).tolist()
-        assert got == [r.f_extrapolated for r in reports]
-        # f_extrapolated carries ln Z_1 at a weight of 2**-30, so the depth-1
-        # base is held to ln_z[0] = ln Z_1 on its own.
-        h = np.array([r.h_star for r in reports])
-        assert _ln_z1(beta, J, J1, "full", (h, h, h)).tolist() == [r.ln_z[0] for r in reports]
+        assert got == [r.f_const_field for r in reports]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(-3, 3), st.floats(-3, 3), st.floats(0.1, 3), st.sampled_from(["u1", "u3"]))
+    def test_record_is_enumerated_ln_z(self, J, J1, beta, branch):
+        # ln_z[n-1] is ln Z of the depth-n full tree under h_star, which the
+        # oracle sums over all 2**N configurations: a second route.
+        params = ModelParams(J=J, J1=J1, beta=beta)
+        rep = free_energy(params, branch, n_max=3)
+        for n, ln_z in enumerate(rep.ln_z, start=1):
+            oracle = exact_oracle.log_partition(build_tree(n, "full"), params, rep.h_star)
+            assert ln_z == pytest.approx(oracle, rel=1e-13)
 
     def test_n_max_within_float_range(self):
-        # At beta = 1, ln Z_n overflows from n = 1022 and 3*beta*2**n from n = 1023.
+        # At beta = 1, ln Z_n overflows from n = 1022 and 3*2**n from n = 1023.
         params = ModelParams(J=1.0, J1=1.0, beta=1.0)
         rep = free_energy(params, "u3", n_max=1021)
         assert all(map(math.isfinite, rep.ln_z + rep.f_n))
@@ -511,18 +516,22 @@ class TestFreeEnergy:
         assert all(map(math.isfinite, rep.f_n + (rep.f_extrapolated, rep.f_const_field)))
 
     def test_betas_raise_for_the_first_refused_point(self):
-        # The n_max refusal of beta = 1e300 (3*beta*2**30 overflows) and the
-        # beta refusal of 1e-320 are each raised as free_energy raises them.
+        # F = -rate/(2*beta) at beta = 1e300 fits a float, although
+        # 3*beta*2**30 does not; at 1e-320 and 5e-321 it does not, and the
+        # first of them is raised as free_energy raises it.
         J, J1 = 1e-300, 1e-300
-        for betas, match in (([1.0, 1e300, 1e-320], "^n_max=30 "),
-                             ([1.0, 1e-320, 1e300], r"^beta=1e-320 ")):
-            u = [ti_fixed_points(ModelParams(J=J, J1=J1, beta=b)).u3 for b in betas]
+        u = {b: ti_fixed_points(ModelParams(J=J, J1=J1, beta=b)).u3
+             for b in (1.0, 1e300, 1e-320, 5e-321)}
+        for betas in ([1.0, 1e300, 1e-320, 5e-321], [1.0, 1e-320, 1e300, 5e-321]):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                with pytest.raises(ValueError, match=match):
-                    free_energy_betas(J, J1, betas, u)
-            with pytest.raises(ValueError, match=match):
-                free_energy(ModelParams(J=J, J1=J1, beta=betas[1]), "u3")
+                with pytest.raises(ValueError, match=r"^beta=1e-320 "):
+                    free_energy_betas(J, J1, betas, [u[b] for b in betas])
+        with pytest.raises(ValueError, match=r"^beta=1e-320 "):
+            free_energy(ModelParams(J=J, J1=J1, beta=1e-320), "u3")
+        rep = free_energy(ModelParams(J=J, J1=J1, beta=1e300), "u3")
+        assert free_energy_betas(J, J1, [1e300], [u[1e300]]).tolist() == [rep.f_const_field]
+        assert rep.f_const_field == pytest.approx(-2.486e-300, rel=1e-3)
 
 
 class TestAsymptoticFieldSlope:

@@ -71,7 +71,7 @@ CASES = {
     "free_energy_closed_form": ["free-energy", "--J", "1", "--J1", "1", "--beta", "20",
                                 "--n-max", "4", "--experimental-closed-form",
                                 "--format", "json"],
-    # 3*beta*2**n overflows at n = 1023: refused rather than printed as nan.
+    # ln Z_n overflows from n = 1022: refused rather than printed as inf.
     "free_energy_n_max_overflow": ["free-energy", "--J", "1", "--J1", "1", "--beta", "1",
                                    "--n-max", "1023"],
     "free_energy_beta_j_overflow": ["free-energy", "--J", "1e308", "--J1", "1",
@@ -79,8 +79,12 @@ CASES = {
     # The closed forms go into the JSON document only: refused before solving.
     "free_energy_closed_form_csv": ["free-energy", "--J", "1", "--J1", "1", "--beta", "20",
                                     "--experimental-closed-form"],
-    # f_const_field fits a float at this beta, 2*f_n - f_{n-1} does not.
+    # F = f_const_field fits a float at this beta; the record value
+    # f_extrapolated = 2*f_n - f_{n-1} does not, and the record is refused.
     "free_energy_tiny_beta": ["free-energy", "--J", "1", "--J1", "1", "--beta", "5e-309"],
+    # beta*2**n does not fit a float, F = -2.486e-300 and the record do.
+    "free_energy_huge_beta": ["free-energy", "--J", "1e-300", "--J1", "1e-300",
+                              "--beta", "1e300", "--format", "json"],
     # 2*beta*J1 = 800 fits a float, exp(800) does not.
     "free_energy_theta1_overflow": ["free-energy", "--J", "1", "--J1", "400", "--beta", "1"],
     "beta_sweep_out": ["beta-sweep", "--J", "1", "--J1", "1", "--grid", "beta=0.1:10:4",
@@ -95,9 +99,12 @@ CASES = {
                                  "--theta", "3", "--theta1", "9", "--grid", "beta=1:2:2"],
     "beta_sweep_foreign_axis": ["beta-sweep", "--J", "1", "--J1", "1", "--grid", "beta=1:2:2",
                                 "--grid", "theta=3:4:2"],
-    # f_n at the subnormal grid beta is infinite.
+    # F = -rate/(2*beta) at the subnormal grid beta is infinite.
     "beta_sweep_tiny_beta": ["beta-sweep", "--J", "1", "--J1", "1",
                              "--grid", "beta=1e-320:1:2"],
+    # beta*J is 1 and beta*2**n does not fit a float; F does.
+    "beta_sweep_huge_beta": ["beta-sweep", "--J", "1e-300", "--J1", "1e-300",
+                             "--grid", "beta=1e300:2e300:2"],
     # beta=67 overflows theta1**2 before math.exp(2*beta*J1) overflows at beta=100.
     "beta_sweep_inf_root_sum": ["beta-sweep", "--J", "1", "--J1", "5",
                                 "--grid", "beta=1:100:4", "--depth", "4"],
@@ -120,6 +127,10 @@ CASES = {
     "lemma_check_depth3": ["lemma-check", "--depth", "3"],
     "lemma_check_depth4": ["lemma-check", "--depth", "4"],
     "verify_seed0": ["verify", "--seed", "0"],
+    # An unknown option before the command is the top-level parser's; one
+    # after it is the command's.
+    "unknown_option_before_command": ["--foo", "verify"],
+    "unknown_option_after_command": ["verify", "--foo"],
 }
 
 
