@@ -131,6 +131,14 @@ CASES = {
     # after it is the command's.
     "unknown_option_before_command": ["--foo", "verify"],
     "unknown_option_after_command": ["verify", "--foo"],
+    # Only the leftovers before the command are reported, under the
+    # top-level usage.
+    "unknown_options_around_command": ["--foo", "verify", "--bar"],
+    "no_command": [],
+    "unknown_command": ["bogus"],
+    "fixed_points_bad_float": ["fixed-points", "--J", "abc"],
+    "free_energy_json_out": ["free-energy", "--J", "1", "--J1", "1", "--beta", "2",
+                             "--n-max", "4", "--format", "json", "--out", "{out}"],
 }
 
 
