@@ -9,8 +9,9 @@ taken from the library's result dataclasses in their declaration order,
 which is the CSV column order.  A table's JSON records are built only when
 JSON is written.
 
-Outputs are byte-reproducible: floats are printed with 17 significant
-digits, newlines are always ``\\n``, grid rows are computed and written in
+Outputs are byte-reproducible: a CSV cell prints a float with 17
+significant digits, a JSON document as its shortest round-trip ``repr``;
+newlines are always ``\\n``, grid rows are computed and written in
 grid order, and the ``verify`` report is a pure function of its seed.  The
 commands themselves run on one thread; only the enumeration passes inside
 ``exact_oracle`` spread their blocks over ``CBTREE_THREADS`` workers, and
@@ -27,10 +28,10 @@ import argparse
 import dataclasses
 import functools
 import itertools
-import json
 import math
 import sys
 from collections.abc import Iterable, Iterator
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -180,6 +181,33 @@ def _json_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+def _json(obj, indent: str = "\n") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False,
+    default=_json_default)``, built directly: with ``indent`` set, ``json``
+    runs its pure-Python encoder, which yields one chunk per token."""
+    if isinstance(obj, float):  # the most common leaf; no str, bool or int is one
+        if not math.isfinite(obj):
+            raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
+        return float.__repr__(obj)
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
+    if isinstance(obj, (list, tuple)):
+        brackets, items = "[]", [_json(v, inner) for v in obj]
+    elif isinstance(obj, dict):
+        brackets, items = "{}", [encode_basestring_ascii(k) + ": " + _json(v, inner)
+                                 for k, v in sorted(obj.items())]
+    else:
+        return _json(_json_default(obj), indent)
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
+
+
 def _write_output(path: str | None, chunks: Iterable[str]) -> None:
     if path is None or path == "-":
         sys.stdout.writelines(chunks)
@@ -191,8 +219,7 @@ def _write_output(path: str | None, chunks: Iterable[str]) -> None:
 def _emit(args: argparse.Namespace, result: _Result) -> int:
     if args.fmt == "json":
         doc = {"schema": SCHEMA_VERSION, "command": args.command, **result.payload}
-        _write_output(args.out, [json.dumps(doc, indent=2, sort_keys=True, allow_nan=False,
-                                            default=_json_default) + "\n"])
+        _write_output(args.out, [_json(doc) + "\n"])
     else:
         for path, table in result.tables:
             _write_output(path, table.csv())
@@ -226,12 +253,15 @@ def _grid_rows(theta1s, thetas, regime, u1, u3):
 
 
 def _grid_lines(theta1s, thetas, regime, u1, u3):
-    """Phase-diagram CSV rows, one text chunk per theta1; each axis value is
-    formatted once, in the bytes ``_cell`` gives it."""
-    theta_cells = [_fmt(t) for t in thetas]
+    """Phase-diagram CSV rows, one text chunk per theta1 filled by one ``%``;
+    each axis value is formatted once, in the bytes ``_cell`` gives it."""
+    # A formatted float holds no %, so the axis cells go into the template.
+    tails = [f",{_fmt(t)},%s,%.17g,%.17g\n" for t in thetas]
     for t1, tags, a, b in zip(theta1s, regime, u1, u3):
-        row = _fmt(t1) + ",%s,%s,%.17g,%.17g\n"  # a formatted float holds no %
-        yield "".join(map(row.__mod__, zip(theta_cells, map(REGIMES.__getitem__, tags), a, b)))
+        t1_cell = _fmt(t1)
+        template = t1_cell + t1_cell.join(tails)
+        yield template % tuple(itertools.chain.from_iterable(
+            zip(map(REGIMES.__getitem__, tags), a, b)))
 
 
 def cmd_phase_diagram(args: argparse.Namespace) -> _Result:
@@ -270,6 +300,8 @@ def cmd_free_energy(args: argparse.Namespace) -> _Result:
     del payload["beta"]  # already under params
     if args.experimental_closed_form:
         payload["asymptote"] = _fields(zero_temperature_limit(params.J, params.J1))
+    if args.fmt == "json":
+        return _Result(payload, [])
     table = _Table(
         ["n", "ln_z", "f_n"],
         list(zip(range(1, len(rep.ln_z) + 1), rep.ln_z, rep.f_n)),
@@ -295,10 +327,9 @@ _SWEEP_COLUMNS = ["beta", "regime", "u1", "u3", "F_u3", "F_u1", "F_sym_check",
 
 def cmd_beta_sweep(args: argparse.Namespace) -> _Result:
     betas, params, header = _beta_scan(args)
-    tree = None
-    if args.depth <= exact_oracle.FULL_ENUM_DEPTH_CAP:
-        tree = build_tree(args.depth, "full")
-    else:
+    tree = build_tree(args.depth, "full")  # refuses a depth outside 0..DEPTH_CAP
+    if args.depth > exact_oracle.FULL_ENUM_DEPTH_CAP:
+        tree = None
         print(f"warning: depth {args.depth} beyond the enumeration cap; "
               f"mass_plus column left empty", file=sys.stderr)
 
@@ -529,7 +560,12 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser, commands = _build_parser()
     argv = _join_numeric_values(argv)
-    args, extra = parser.parse_known_args(argv)
+    if argv and argv[0] in commands:
+        # The command's parser alone, as the top-level parser would call it.
+        args, extra = commands[argv[0]].parse_known_args(argv[1:])
+        args.command = argv[0]
+    else:
+        args, extra = parser.parse_known_args(argv)
     if extra:
         # argparse lists the leftovers before the command first, then the
         # command's own, which its parser finds again in the tokens after it.

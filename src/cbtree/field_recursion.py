@@ -116,16 +116,12 @@ def _lse4_array(a, b, c, d) -> np.ndarray:
     return np.logaddexp(np.logaddexp(np.logaddexp(a, b), c), d)
 
 
-def _lse(values):
-    """log(sum(exp(values))) over the last axis, shifted by its maximum; a
-    float for 1-D input."""
+def _lse(values) -> float:
+    """log(sum(exp(values))) of a 1-D input, shifted by its maximum; a
+    non-finite maximum is returned as it is."""
     a = np.asarray(values, dtype=np.float64)
-    m = np.max(a, axis=-1, keepdims=True)
-    with np.errstate(invalid="ignore"):
-        out = np.log(np.sum(np.exp(a - m), axis=-1))
-    m = m[..., 0]
-    out = np.where(np.isfinite(m), m + out, m)
-    return float(out) if out.ndim == 0 else out
+    m = a.max()
+    return float(m + np.log(np.sum(np.exp(a - m)))) if math.isfinite(m) else float(m)
 
 
 def _pair_log_weights(a1, aj, hy, hz, lse):
@@ -146,7 +142,7 @@ def pair_log_weights(params: ModelParams, h_y, h_z):
     point); broadcastable arrays are reduced with numpy.
     """
     a1, aj = 2.0 * params.beta * params.J1, params.beta * params.J
-    if np.ndim(h_y) == 0 and np.ndim(h_z) == 0:
+    if isinstance(h_y, float) and isinstance(h_z, float) or np.ndim(h_y) == np.ndim(h_z) == 0:
         return _pair_log_weights(a1, aj, float(h_y), float(h_z), _lse4)
     return _pair_log_weights(a1, aj, np.asarray(h_y, dtype=np.float64),
                              np.asarray(h_z, dtype=np.float64), _lse4_array)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,12 +179,16 @@ def free_energy(params: ModelParams, branch: str = "u3", n_max: int = N_MAX) -> 
     h = 0.5 * math.log(u)
     beta, J, J1 = params.beta, params.J, params.J1
     rate = float(_level_log_factor(beta * J, beta * J1, h, h))
-    # 2**n is inf from n = maxexp on, so a longer record is refused at maxexp.
-    n = np.arange(1, min(n_max, np.finfo(np.float64).maxexp) + 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        ln_z = _ln_z1(beta, J, J1, "full", (h, h, h)) + 3.0 * (np.ldexp(1.0, n - 1) - 1.0) * rate
+    ln_z1 = _ln_z1(beta, J, J1, "full", (h, h, h))
+    # In Python floats, + - * / overflow to inf or NaN without raising, and
+    # 2**n is exact (inf from n = max_exp on, so a longer record is refused).
+    ln_z, f_n = [], []
+    power = 1.0  # 2**(n - 1)
+    for _ in range(min(n_max, sys.float_info.max_exp)):
+        ln_z.append(ln_z1 + 3.0 * (power - 1.0) * rate)
+        power *= 2.0
         # Divided by beta last, so beta*2**n never has to fit a float.
-        f_n = (-(ln_z / (3.0 * np.ldexp(1.0, n))) / beta).tolist()
+        f_n.append(-(ln_z[-1] / (3.0 * power)) / beta)
     # rate >= ln 4 (each pair weight sums four exponentials whose exponents
     # sum to 0), so ln Z_n leaves the float range before 3*2**n does.
     if not math.isfinite(ln_z[-1]):
@@ -198,7 +203,7 @@ def free_energy(params: ModelParams, branch: str = "u3", n_max: int = N_MAX) -> 
         h_star=h,
         beta=beta,
         level_rate=rate,
-        ln_z=tuple(ln_z.tolist()),
+        ln_z=tuple(ln_z),
         f_n=tuple(f_n),
         f_extrapolated=f_extrapolated,
         f_const_field=f_const_field,

@@ -198,6 +198,22 @@ class TestPhaseDiagramCommand:
         assert "missing --grid theta=" in capsys.readouterr().err
 
 
+json_keys = st.one_of(st.sampled_from(["", '"', "\\", "\x00\x1f\n", "\u00e9", "\u2028",
+                                        "\U0001f600", "schema"]), st.text(max_size=8))
+json_floats = st.one_of(st.sampled_from([-0.0, 5e-324, 1e22, 1.7976931348623157e308]),
+                        st.floats(allow_nan=False, allow_infinity=False))
+json_leaves = st.one_of(
+    json_floats, json_keys, st.none(), st.booleans(), st.integers(-2**200, 2**200),
+    json_floats.map(np.float64), st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.lists(st.lists(json_floats | st.none() | json_keys, min_size=2, max_size=2),
+             max_size=3).map(lambda rows: cli._Table(["x", "y"], rows)),
+)
+json_docs = st.recursive(json_leaves, lambda children: st.one_of(
+    st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
+    st.dictionaries(json_keys, children, max_size=4)), max_leaves=25)
+
+
 class TestOutput:
     def test_row_format_writes_the_cell_bytes(self):
         # The phase-diagram rows, formatted per row, against one _cell per cell.
@@ -221,6 +237,22 @@ class TestOutput:
             assert captured.out == ""
             assert captured.err.startswith("error: Out of range float values")
         assert not out.exists()
+
+    @settings(max_examples=300, deadline=None)
+    @given(json_docs)
+    def test_json_writer_is_json_dumps(self, doc):
+        assert cli._json(doc) == json.dumps(doc, indent=2, sort_keys=True, allow_nan=False,
+                                            default=cli._json_default)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64(math.nan),
+                                       np.float64(-math.inf), np.float32(math.inf)])
+    def test_json_writer_refuses_non_finite_as_json_dumps(self, value):
+        doc = {"a": [1.0, {"b": (2, value)}], "c": None}
+        with pytest.raises(ValueError) as expected:
+            json.dumps(doc, indent=2, sort_keys=True, allow_nan=False, default=cli._json_default)
+        with pytest.raises(ValueError) as got:
+            cli._json(doc)
+        assert str(got.value) == str(expected.value)
 
     @pytest.mark.parametrize("argv", [
         ["fixed-points", *TWO_FIVE_ARGS, "--out", "{missing}/fp.csv"],
@@ -508,6 +540,18 @@ class TestBetaSweepCommand:
 
     def test_requires_couplings(self):
         assert main(["beta-sweep", "--grid", "beta=1:2:2"]) == 2
+
+    @pytest.mark.parametrize("depth", [-1, 13, 100])
+    def test_depth_outside_tree_range_refused_before_solving(self, depth, monkeypatch, capsys):
+        def unreachable(*args):
+            raise AssertionError("solved")
+
+        monkeypatch.setattr(cli, "ti_fixed_points_betas", unreachable)
+        assert main(["beta-sweep", "--J", "1", "--J1", "1", "--grid", "beta=1:2:2",
+                     "--depth", str(depth)]) == 2
+        with pytest.raises(ValueError) as expected:
+            build_tree(depth, "full")
+        assert capsys.readouterr() == ("", f"error: {expected.value}\n")
 
     @settings(max_examples=150, deadline=None)
     @given(sweep_grids())

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -33,6 +34,37 @@ def cubic_roots_oracle(theta: float, theta1: float) -> list[float]:
     roots = np.roots(coeffs)
     real = [float(r.real) for r in roots if abs(r.imag) < 1e-9 and r.real > 0]
     return sorted(real)
+
+
+def reference_lse(values):
+    """The log-sum-exp over the last axis as it was written for any number of
+    dimensions; ``_lse`` on a 1-D input must give its one-row 2-D bits."""
+    a = np.asarray(values, dtype=np.float64)
+    m = np.max(a, axis=-1, keepdims=True)
+    with np.errstate(invalid="ignore"):
+        out = np.log(np.sum(np.exp(a - m), axis=-1))
+    m = m[..., 0]
+    out = np.where(np.isfinite(m), m + out, m)
+    return float(out) if out.ndim == 0 else out
+
+
+class TestLse:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40),
+           st.sampled_from(["plain", "neg_inf", "all_neg_inf", "pos_inf", "nan"]))
+    def test_1d_is_the_one_row_2d_value(self, seed, size, kind):
+        rng = np.random.default_rng(seed)
+        v = rng.normal(size=size) * 10.0 ** rng.integers(-3, 4, size)
+        if kind == "all_neg_inf":
+            v[:] = -np.inf
+        elif kind != "plain":
+            v[rng.random(size) < 0.3] = {"neg_inf": -np.inf, "pos_inf": np.inf, "nan": np.nan}[kind]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = field_recursion._lse(v)
+        expected = float(reference_lse(v[None, :])[0])
+        assert type(got) is float
+        assert got == expected or (math.isnan(got) and math.isnan(expected))
 
 
 class TestChildToParent:

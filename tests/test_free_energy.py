@@ -116,6 +116,23 @@ def reference_pair_log_weights(a1, aj, hy, hz, lse):
     return w_up, w_down
 
 
+# The finite-depth record as numpy built it before it moved to Python floats.
+# The float form must equal it bit for bit.
+
+
+def reference_record(ln_z1, rate, beta, n_max):
+    n = np.arange(1, min(n_max, np.finfo(np.float64).maxexp) + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ln_z = ln_z1 + 3.0 * (np.ldexp(1.0, n - 1) - 1.0) * rate
+        f_n = (-(ln_z / (3.0 * np.ldexp(1.0, n))) / beta)
+    return ln_z.tolist(), f_n.tolist()
+
+
+def bits(values):
+    """Each float's exact value, with -0.0 and 0.0 told apart and NaNs alike."""
+    return [float(x).hex() for x in values]
+
+
 # The package re-exports the function free_energy under the module's name.
 free_energy_module = importlib.import_module("cbtree.free_energy")
 
@@ -226,6 +243,17 @@ class TestPairKernelForms:
         shaped = (a[:, None], b[:40], c[0], d[:40].reshape(1, 40))  # broadcast to (200, 40)
         for terms in ((a, b, c, d), shaped, (-np.inf, a, np.inf, b)):
             assert np.array_equal(_lse4_array(*terms), reference_lse4_array(*terms))
+
+    @settings(max_examples=100, deadline=None)
+    @given(wide, wide, st.integers(-50, 50), wide)
+    def test_scalar_kinds_take_the_math_branch(self, bj, bj1, k, h):
+        params = ModelParams(J=bj, J1=bj1, beta=1.0)
+        for hy in (float(k), np.float64(k), k, np.array(float(k))):
+            for hz in (h, np.float64(h), np.array(h)):
+                expected = reference_pair_log_weights(2.0 * bj1, bj, float(hy), float(hz), _lse4)
+                got = pair_log_weights(params, hy, hz)
+                assert got == expected and all(type(w) is float for w in got)
+                assert child_to_parent(params, hy, hz) == 0.5 * (expected[0] - expected[1])
 
     def test_lse4_long_input(self):
         terms = kernel_draws(5, (4, 10**6))
@@ -491,6 +519,36 @@ class TestFreeEnergy:
         for n, ln_z in enumerate(rep.ln_z, start=1):
             oracle = exact_oracle.log_partition(build_tree(n, "full"), params, rep.h_star)
             assert ln_z == pytest.approx(oracle, rel=1e-13)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-3, 3), st.floats(-3, 3), st.floats(0.01, 50), st.sampled_from(["u1", "u3"]),
+           st.integers(2, 60))
+    def test_record_is_numpy_record(self, J, J1, beta, branch, n_max):
+        self.check_record(J, J1, beta, branch, n_max)
+
+    @pytest.mark.parametrize("n_max", [2, 30, 1021, 1022, 1023, 1024, 1025])
+    @pytest.mark.parametrize("J,J1,beta,branch", [
+        (0.5 * math.log(5.0), 0.5 * math.log(2.0), 1.0, "u3"), (1.0, 1.0, 1.0, "u1"),
+        (1e-300, 1e-300, 1e300, "u3"), (-0.3, 0.8, 5e-309, "u3"), (-0.3, 0.8, 1e-300, "u2")])
+    def test_record_is_numpy_record_at_the_float_limits(self, J, J1, beta, branch, n_max):
+        self.check_record(J, J1, beta, branch, n_max)
+
+    @staticmethod
+    def check_record(J, J1, beta, branch, n_max):
+        params = ModelParams(J=J, J1=J1, beta=beta)
+        h = 0.5 * math.log(ti_fixed_points(params).branch(branch))
+        rate = float(_level_log_factor(beta * J, beta * J1, h, h))
+        ln_z1 = free_energy_module._ln_z1(beta, J, J1, "full", (h, h, h))
+        ln_z, f_n = reference_record(ln_z1, rate, beta, n_max)
+        if not math.isfinite(ln_z[-1]):
+            with pytest.raises(ValueError, match=f"^n_max={n_max} "):
+                free_energy(params, branch, n_max=n_max)
+        elif not all(map(math.isfinite, f_n + [2.0 * f_n[-1] - f_n[-2]])):
+            with pytest.raises(ValueError, match=r"^beta="):
+                free_energy(params, branch, n_max=n_max)
+        else:
+            rep = free_energy(params, branch, n_max=n_max)
+            assert (bits(rep.ln_z), bits(rep.f_n)) == (bits(ln_z), bits(f_n))
 
     def test_n_max_within_float_range(self):
         # At beta = 1, ln Z_n overflows from n = 1022 and 3*2**n from n = 1023.

@@ -93,6 +93,9 @@ CASES = {
                                "--grid", "beta=1:4:4", "--depth", "3", "--format", "json"],
     "beta_sweep_beyond_cap": ["beta-sweep", "--J", "1", "--J1", "1",
                               "--grid", "beta=10:20:2", "--depth", "5"],
+    # A depth no tree is built to: refused with build_tree's message.
+    "beta_sweep_depth_beyond_tree_cap": ["beta-sweep", "--J", "1", "--J1", "1",
+                                         "--grid", "beta=1:2:2", "--depth", "100"],
     "beta_sweep_no_couplings": ["beta-sweep", "--grid", "beta=1:2:2"],
     # The beta scans take --J and --J1 only; beta comes from the grid.
     "beta_sweep_point_options": ["beta-sweep", "--J", "1", "--J1", "1", "--beta", "5",
