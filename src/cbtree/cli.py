@@ -49,12 +49,12 @@ from .field_recursion import (
     REGIMES,
     _lse4_array,
     _pair_log_weights,
+    _ti_fixed_points_checked,
     critical_curve,
     propagate_inward,
     ti_fixed_points,
     ti_fixed_points_betas,
     ti_fixed_points_grid,
-    ti_map,
 )
 from .model import ModelParams
 from .topology import build_tree
@@ -91,6 +91,8 @@ def _fmt(x) -> str:
 
 
 def _cell(x) -> str:
+    if type(x) is float:
+        return format(x, ".17g")
     if x is None:
         return ""
     if isinstance(x, str):
@@ -120,7 +122,10 @@ def _parse_grid_specs(specs, axes) -> dict:
             raise UsageError(f"grid {spec!r} needs finite endpoints a finite distance apart")
         if count > 1 and not stop > start:
             raise UsageError(f"grid {spec!r} is not strictly increasing")
-        parsed.append((spec, name.strip(), np.linspace(start, stop, count)))
+        try:
+            parsed.append((spec, name.strip(), np.linspace(start, stop, count)))
+        except MemoryError:
+            raise UsageError(f"grid {spec!r} has too many points to hold in memory") from None
     grids = {}
     for spec, name, grid in parsed:
         if name not in axes:
@@ -232,7 +237,7 @@ def _emit(args: argparse.Namespace, result: _Result) -> int:
 
 def cmd_fixed_points(args: argparse.Namespace) -> _Result:
     params = _point_params(args)
-    fps = ti_fixed_points(params)
+    fps, (residual_u1, _, residual_u3) = _ti_fixed_points_checked(params)
     row = {
         **_fields(params),
         "theta": params.theta_exp,
@@ -240,8 +245,8 @@ def cmd_fixed_points(args: argparse.Namespace) -> _Result:
         **_fields(fps),
         "h1": fps.h1,
         "h3": fps.h3,
-        "residual_u1": abs(ti_map(params, fps.u1) - fps.u1),
-        "residual_u3": abs(ti_map(params, fps.u3) - fps.u3),
+        "residual_u1": residual_u1,
+        "residual_u3": residual_u3,
     }
     return _Result({"result": row}, [(args.out, _Table.of_record(row))])
 
@@ -334,17 +339,20 @@ def cmd_beta_sweep(args: argparse.Namespace) -> _Result:
               f"mass_plus column left empty", file=sys.stderr)
 
     regime, u1, u3 = ti_fixed_points_betas(args.J, args.J1, betas)
-    f3 = free_energy_betas(args.J, args.J1, betas, u3)
-    f1 = free_energy_betas(args.J, args.J1, betas, u1)
+    # F is elementwise in its points, so the u3 rows and the u1 rows share one call.
+    f3, f1 = free_energy_betas(args.J, args.J1, np.tile(betas, 2),
+                               np.concatenate([u3, u1])).reshape(2, -1)
+    three = np.flatnonzero(regime == REGIMES.index(REGIME_THREE))
+    mass_plus = {}
+    if tree is not None and three.size:
+        h3 = [0.5 * math.log(u) for u in u3[three].tolist()]
+        plus, _ = exact_oracle.plus_minus_masses(tree, args.J, args.J1, betas[three], h3)
+        mass_plus = dict(zip(three.tolist(), plus.tolist()))
     rows = []
-    for beta, tag, u1_b, u3_b, f3_b, f1_b in zip(betas.tolist(), regime.tolist(), u1.tolist(),
-                                                 u3.tolist(), f3.tolist(), f1.tolist()):
-        mass_plus = None
-        if tree is not None and REGIMES[tag] == REGIME_THREE:
-            point = ModelParams(J=args.J, J1=args.J1, beta=beta)
-            mass_plus = exact_oracle.plus_minus_mass(tree, point, 0.5 * math.log(u3_b))[0]
+    for k, (beta, tag, u1_b, u3_b, f3_b, f1_b) in enumerate(zip(
+            betas.tolist(), regime.tolist(), u1.tolist(), u3.tolist(), f3.tolist(), f1.tolist())):
         rows.append((beta, REGIMES[tag], u1_b, u3_b, f3_b, f1_b, abs(f3_b - f1_b),
-                     ground_states.root_magnetization(u3_b), mass_plus))
+                     ground_states.root_magnetization(u3_b), mass_plus.get(k)))
     table = _Table(_SWEEP_COLUMNS, rows, (header, " ".join(_SWEEP_COLUMNS)))
     return _Result({"params": params, "rows": table}, [(args.out, table)])
 
@@ -556,13 +564,49 @@ def _join_numeric_values(argv: list[str]) -> list[str]:
     return out
 
 
+def _parse_simple(parser: argparse.ArgumentParser, tokens: list[str]) -> argparse.Namespace | None:
+    """``parser.parse_args(tokens)`` if each token is ``--opt=value``, ``--opt
+    value`` (a non-empty value not starting with "-") or a bare ``store_true``
+    flag, with ``--opt`` an exact long option of ``parser`` and the value
+    passing its ``type`` and ``choices``; otherwise None, for argparse to
+    parse and report.  List defaults are copied, so calls share no list."""
+    values = {**parser._defaults, **{a.dest: list(a.default) if isinstance(a.default, list)
+                                     else a.default for a in parser._actions
+                                     if a.default is not argparse.SUPPRESS}}
+    tokens = iter(tokens)
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        action = parser._option_string_actions.get(name) if name.startswith("--") else None
+        if isinstance(action, argparse._StoreTrueAction) and not eq:
+            values[action.dest] = True
+            continue
+        if not eq:
+            value = next(tokens, "")
+        if (not isinstance(action, (argparse._StoreAction, argparse._AppendAction))
+                or action.nargs is not None or not value or value[0] == "-" and not eq):
+            return None
+        try:
+            value = value if action.type is None else action.type(value)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        if isinstance(action, argparse._AppendAction):
+            value = [*(values[action.dest] or ()), value]
+        values[action.dest] = value
+    return argparse.Namespace(**values)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser, commands = _build_parser()
     argv = _join_numeric_values(argv)
+    extra = None
     if argv and argv[0] in commands:
-        # The command's parser alone, as the top-level parser would call it.
-        args, extra = commands[argv[0]].parse_known_args(argv[1:])
+        args = _parse_simple(commands[argv[0]], argv[1:])
+        if args is None:
+            # The command's parser alone, as the top-level parser would call it.
+            args, extra = commands[argv[0]].parse_known_args(argv[1:])
         args.command = argv[0]
     else:
         args, extra = parser.parse_known_args(argv)

@@ -30,10 +30,13 @@ of the vertex.  ``enumerated_count_table`` builds the same table by one
 block-wise pass over all configurations and is its oracle; ``verify``
 reads its recursion check from that one.  ``log_partition`` and
 ``plus_minus_mass`` with a constant field are then a log-sum-exp over the
-bins (1340 at full depth 3) instead of over 2**22 configurations.  Any other
-field, and ``measure_prob``, ``marginal_prob`` and ``check_consistency``,
-take the per-configuration ``log_weights`` route, which stays the
-independent reference.
+bins (1340 at full depth 3) instead of over 2**22 configurations.
+``plus_minus_masses`` does the masses of a whole beta axis in one pass, a
+row of bins per (beta, h) in blocks of at most ``_BLOCK`` cells, bit for
+bit the masses of each point: ``plus_minus_mass`` is its one-row case.  Any
+other field, and ``measure_prob``, ``marginal_prob`` and
+``check_consistency``, take the per-configuration ``log_weights`` route,
+which stays the independent reference.
 """
 
 from __future__ import annotations
@@ -92,17 +95,28 @@ class CountTable:
     """Exact number of configurations in each non-empty (A, B, C_boundary) bin.
 
     ``a``, ``b``, ``c`` and ``count`` are read-only int64 arrays, one entry
-    per bin; ``c`` is the net spin of the boundary level.
+    per bin; ``c`` is the net spin of the boundary level.  Built with them,
+    ``stats`` holds ``a``, ``b`` and ``c`` as float64 rows (exact: they are
+    small integers) and ``ln_count`` holds ln(count), both read-only.
     """
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
     count: np.ndarray
+    stats: np.ndarray
+    ln_count: np.ndarray
 
-    def log_weights(self, params: ModelParams, h: float) -> np.ndarray:
-        """Log weight of one configuration of each bin under the constant field h."""
-        return params.beta * params.J * self.a + params.beta * params.J1 * self.b + h * self.c
+    def log_weights(self, bj, bj1, h) -> np.ndarray:
+        """Log weight of one configuration of each bin under a constant field,
+        bj*A + bj1*B + h*C with bj = beta*J and bj1 = beta*J1: one row per
+        entry of equal-length 1-D arrays, or one 1-D row for floats."""
+        a, b, c = self.stats
+        w = np.multiply.outer(bj, a)
+        tmp = np.multiply.outer(bj1, b)
+        w += tmp
+        w += np.multiply.outer(h, c, out=tmp)
+        return w
 
     def log_partition(self, params: ModelParams, h: float) -> float:
         """ln Z as a log-sum-exp over bins.
@@ -111,7 +125,8 @@ class CountTable:
         its ``log_weights`` entry and exp(w - ln Z) <= 1 holds by
         construction.
         """
-        return _lse(self.log_weights(params, h) + np.log(self.count))
+        return _lse(self.log_weights(params.beta * params.J, params.beta * params.J1, h)
+                    + self.ln_count)
 
 
 def _count_block(tree: TreeIndex, shape: tuple[int, int, int], rng) -> np.ndarray:
@@ -162,6 +177,7 @@ def _table(counts: np.ndarray) -> CountTable:
         2 * ones.astype(np.int64) - nb,
         counts.ravel()[nonzero].astype(np.int64),
     )
+    arrays += (np.array(arrays[:3], dtype=np.float64), np.log(arrays[3]))
     for arr in arrays:
         arr.flags.writeable = False
     return CountTable(*arrays)
@@ -331,16 +347,55 @@ def check_consistency(params: ModelParams, fields: FieldAssignment) -> float:
     return float(np.max(np.abs(marginal - prev)))
 
 
+# exp(x) is 0.0 for every x below this (e**-746 is under half the smallest
+# subnormal).  numpy's exp is slow there, where most low-temperature terms are.
+_EXP_ZERO = -746.0
+
+
+def _lse_rows(w: np.ndarray) -> np.ndarray:
+    """``_lse`` of each row of a 2-D array, bit for bit; overwrites ``w``.
+    Terms whose exp is 0.0 are not passed to exp."""
+    m = w.max(axis=1)
+    finite = np.isfinite(m)
+    if not finite.all():  # such a row's value is its maximum, as in ``_lse``
+        out = m.copy()
+        out[finite] = _lse_rows(w[finite])
+        return out
+    w -= m[:, None]
+    terms = np.zeros_like(w)
+    np.exp(w, out=terms, where=w >= _EXP_ZERO)
+    return m + np.log(np.sum(terms, axis=1))
+
+
+def plus_minus_masses(tree: TreeIndex, J: float, J1: float, betas, h) -> tuple[np.ndarray, np.ndarray]:
+    """``plus_minus_mass(tree, ModelParams(J, J1, beta), h)`` bit for bit, as a
+    plus and a minus array, for each entry of the equal-length 1-D arrays
+    ``betas`` and ``h`` (constant fields).  The rows go in blocks of at most
+    ``_BLOCK`` (row, bin) cells of ``count_table(tree)``."""
+    table = count_table(tree)
+    betas, h = np.asarray(betas, dtype=np.float64), np.asarray(h, dtype=np.float64)
+    if betas.ndim != 1 or betas.shape != h.shape:
+        raise ValueError("betas and h must be 1-D arrays of one length")
+    plus, minus = np.empty((2, betas.size))
+    step = max(1, _BLOCK // table.count.size)
+    for lo in range(0, betas.size, step):
+        rows = slice(lo, lo + step)
+        w = table.log_weights(betas[rows] * J, betas[rows] * J1, h[rows])
+        ends = w[:, [PLUS_BIN, MINUS_BIN]].T  # a copy: w is overwritten below
+        w += table.ln_count
+        plus[rows], minus[rows] = np.exp(ends - _lse_rows(w))
+    return plus, minus
+
+
 def plus_minus_mass(tree: TreeIndex, params: ModelParams, h) -> tuple[float, float]:
-    """Probabilities of the all-plus and all-minus configurations."""
+    """Probabilities of the all-plus and all-minus configurations; a constant
+    field is the one-row case of ``plus_minus_masses``."""
     _check_enum_cap(tree)
     hb = _boundary_array(tree, h)
     hc = float(hb[0])
     if np.all(hb == hc):
-        table = count_table(tree)
-        w = table.log_weights(params, hc)
-        ln_z = table.log_partition(params, hc)
-        return float(np.exp(w[PLUS_BIN] - ln_z)), float(np.exp(w[MINUS_BIN] - ln_z))
+        plus, minus = plus_minus_masses(tree, params.J, params.J1, [params.beta], [hc])
+        return float(plus[0]), float(minus[0])
     ln_z = _log_partition_enumerated(tree, params, hb)
     extremes = np.array([(1 << tree.n_vertices) - 1, 0], dtype=np.int64)
     w = log_weights(tree, params, hb, extremes)

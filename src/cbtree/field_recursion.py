@@ -223,15 +223,8 @@ def _larger_root(t, sqrt=math.sqrt):
     return 0.5 * t * (1.0 + sqrt(1.0 - 4.0 / (t * t)))  # finite even if t*t overflows
 
 
-def ti_fixed_points(params: ModelParams) -> TIFixedPoints:
-    """All positive constant-field fixed points, from the exact factorization.
-
-    u = 1 always solves the scalar map; the remaining candidates are the
-    roots of u**2 + (1 + alpha)u + 1 = 0.  The larger root is computed from
-    the non-cancelling quadratic branch and the smaller as its reciprocal
-    (the product of the two roots is exactly 1).  A root sum of +inf
-    (theta1**2 overflows) leaves u3 infinite and raises OverflowError.
-    """
+def _ti_fixed_points_checked(params: ModelParams) -> tuple[TIFixedPoints, tuple[float, float, float]]:
+    """``ti_fixed_points`` and the residuals |ti_map(u) - u| it checked at u1, u2, u3."""
     index, t = _classify(params.theta_exp, params.theta1_exp)
     if REGIMES[index] == REGIME_THREE:
         u3 = _larger_root(t)
@@ -241,12 +234,26 @@ def ti_fixed_points(params: ModelParams) -> TIFixedPoints:
     else:
         fps = TIFixedPoints(REGIMES[index], 1.0, 1.0, 1.0)
 
+    residuals = []
     for u in (fps.u1, fps.u2, fps.u3):
-        if not (abs(ti_map(params, u) - u) <= RESIDUAL_TOL * max(1.0, u)):
+        residuals.append(abs(ti_map(params, u) - u))
+        if not (residuals[-1] <= RESIDUAL_TOL * max(1.0, u)):
             raise ArithmeticError(
                 f"fixed point u={u!r} fails the self-consistency residual check"
             )
-    return fps
+    return fps, tuple(residuals)
+
+
+def ti_fixed_points(params: ModelParams) -> TIFixedPoints:
+    """All positive constant-field fixed points, from the exact factorization.
+
+    u = 1 always solves the scalar map; the remaining candidates are the
+    roots of u**2 + (1 + alpha)u + 1 = 0.  The larger root is computed from
+    the non-cancelling quadratic branch and the smaller as its reciprocal
+    (the product of the two roots is exactly 1).  A root sum of +inf
+    (theta1**2 overflows) leaves u3 infinite and raises OverflowError.
+    """
+    return _ti_fixed_points_checked(params)[0]
 
 
 def _axis_terms(params_of, axis) -> np.ndarray:

@@ -98,12 +98,14 @@ def level_log_factor(params: ModelParams, h_y, h_z):
     return _level_log_factor(params.beta * params.J, params.beta * params.J1, h_y, h_z)
 
 
-def _z1_terms(n_children: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sibling-pair sum, edge sum and child spins of each depth-1 term, root
-    spin up first, children in ``itertools.product`` order."""
-    terms = [(sum(a * b for a, b in itertools.combinations(spins, 2)), s_root * sum(spins), spins)
-             for s_root in (1, -1) for spins in itertools.product((1, -1), repeat=n_children)]
-    return tuple(np.array(column, dtype=np.float64) for column in zip(*terms))
+def _z1_terms(n_children: int) -> tuple[tuple[float, float, int], ...]:
+    """Sibling-pair sum, edge sum and child-spin index of each depth-1 term,
+    root spin up first; index k is the k-th child spin tuple in
+    ``itertools.product((1, -1), ...)`` order."""
+    spins = list(itertools.product((1, -1), repeat=n_children))
+    return tuple((float(sum(a * b for a, b in itertools.combinations(s, 2))),
+                  float(s_root * sum(s)), k)
+                 for s_root in (1, -1) for k, s in enumerate(spins))
 
 
 _Z1_TERMS = {"full": _z1_terms(3), "half": _z1_terms(2)}
@@ -114,11 +116,13 @@ def _ln_z1(beta: float, J: float, J1: float, mode: str, child_fields) -> float:
 
     The root of a full tree has three children, which the two-child
     recursion never touches; enumerating the 16 (full) or 8 (half) terms
-    keeps the base exact.  The child fields are added one child at a time.
+    keeps the base exact.  Each exponent is beta*(J*pair + J1*edge) plus the
+    child fields added one child at a time, in Python floats.
     """
-    pair, edge, spins = _Z1_TERMS[mode]
-    field = sum(h * s for h, s in zip(child_fields, spins.T))
-    return _lse(beta * (J * pair + J1 * edge) + field)
+    fields = [0]  # the sum of the child fields per child spin tuple, in product order
+    for h in map(float, child_fields):
+        fields = [f + h * s for f in fields for s in (1.0, -1.0)]
+    return _lse([beta * (J * pair + J1 * edge) + fields[k] for pair, edge, k in _Z1_TERMS[mode]])
 
 
 def log_partition_recursive(params: ModelParams, fields: FieldAssignment, depth: int | None = None) -> float:

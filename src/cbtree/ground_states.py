@@ -19,7 +19,7 @@ import numpy as np
 
 from . import exact_oracle
 from .field_recursion import REGIME_THREE, REGIMES, ti_fixed_points_betas
-from .model import ModelParams, stat_maxima
+from .model import stat_maxima
 from .topology import boundary_census, build_tree
 
 # Non-decreasing mass along the in-regime beta tail, up to this slack.
@@ -78,13 +78,17 @@ def ground_state_scan(J: float, J1: float, beta_grid, depth: int = 2) -> list[Gr
     tree = build_tree(depth, "full")
     betas = np.asarray(beta_grid, dtype=np.float64)
     regime, u1, u3 = ti_fixed_points_betas(J, J1, betas)
+    three = np.flatnonzero(regime == REGIMES.index(REGIME_THREE))
+    masses = {}
+    if three.size:  # one pass over the axis: the u3 rows, then the u1 rows
+        h = [0.5 * math.log(u) for u in (*u3[three].tolist(), *u1[three].tolist())]
+        plus, minus = exact_oracle.plus_minus_masses(tree, J, J1, np.tile(betas[three], 2), h)
+        masses = dict(zip(three.tolist(), zip(plus[:three.size].tolist(),
+                                              minus[three.size:].tolist())))
     rows = []
-    for beta, tag, u1_b, u3_b in zip(betas.tolist(), regime.tolist(), u1.tolist(), u3.tolist()):
-        mass_plus = mass_minus = None
-        if REGIMES[tag] == REGIME_THREE:
-            params = ModelParams(J=J, J1=J1, beta=beta)
-            mass_plus = exact_oracle.plus_minus_mass(tree, params, 0.5 * math.log(u3_b))[0]
-            mass_minus = exact_oracle.plus_minus_mass(tree, params, 0.5 * math.log(u1_b))[1]
+    for k, (beta, tag, u1_b, u3_b) in enumerate(zip(betas.tolist(), regime.tolist(),
+                                                    u1.tolist(), u3.tolist())):
+        mass_plus, mass_minus = masses.get(k, (None, None))
         rows.append(GroundScanRow(
             beta=beta,
             regime=REGIMES[tag],

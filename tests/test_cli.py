@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import math
@@ -84,6 +85,25 @@ class TestFixedPointsCommand:
         assert spaced_out == capsys.readouterr()
         assert "expected one argument" not in spaced_out.err
 
+    @pytest.mark.parametrize("point", [["--J", "1", "--J1", "1", "--beta", "2"], TWO_FIVE_ARGS,
+                                       ["--theta", "4", "--theta1", "2"]])
+    def test_residuals_are_the_checked_ones(self, point, monkeypatch, capsys):
+        calls = []
+        ti_map = field_recursion.ti_map
+
+        def counted(params, u):
+            calls.append(u)
+            return ti_map(params, u)
+
+        monkeypatch.setattr(field_recursion, "ti_map", counted)
+        assert main(["fixed-points", *point, "--format", "json"]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert calls == [result["u1"], result["u2"], result["u3"]]
+        params = ModelParams(result["J"], result["J1"], result["beta"])
+        for branch in ("u1", "u3"):
+            u = result[branch]
+            assert result[f"residual_{branch}"] == abs(ti_map(params, u) - u)
+
     def test_missing_value_keeps_argparse_message(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["fixed-points", "--J", "--J1", "1", "--beta", "1"])
@@ -148,6 +168,19 @@ class TestPhaseDiagramCommand:
             assert main([*argv, "--grid", spec]) == 2
         assert capsys.readouterr().err == (
             f"error: grid {spec!r} needs finite endpoints a finite distance apart\n")
+
+    # 8e17 bytes of points: past any address space, so the allocation fails
+    # at once on every platform instead of taking memory first.
+    @pytest.mark.parametrize("argv", [
+        ["phase-diagram", "--grid", "theta=1:2:2"],
+        ["beta-sweep", "--J", "1", "--J1", "1"],
+        ["ground-state", "--J", "1", "--J1", "1"],
+    ], ids=["phase-diagram", "beta-sweep", "ground-state"])
+    def test_oversized_grid_is_usage_error(self, argv, capsys):
+        spec = ("theta1" if argv[0] == "phase-diagram" else "beta") + "=1:2:100000000000000000"
+        assert main([*argv, "--grid", spec]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: grid {spec!r} has too many points to hold in memory\n")
 
     def test_missing_axis_rejected(self):
         assert main(["phase-diagram", "--grid", "theta1=2:3:2"]) == 2
@@ -682,3 +715,93 @@ class TestDepth3Enumeration:
             assert main(cmd + ["--out", str(path)]) == 0
             outputs.append(path.read_bytes())
         assert outputs[0] == outputs[1]
+
+
+# Values for the argv-pass grammar, by the kind of option that takes them:
+# values the option accepts, then values argparse refuses.
+_FLOAT_WORDS = (["1", "-0.0", "0", "2.5", "1e-300", "5e-324", "1e308", "-1e-3", "nan", "-inf",
+                 "1_0"], ["abc", ""])
+_INT_WORDS = (["0", "2", "3", "-1", "007"], ["3.5", "x"])
+_PATH_WORDS = (["out.csv", "a=b", "dir/f.json"], ["-", "--J", ""])
+_GRID_WORDS = (["beta=1:2:3", "theta1=2:3:2", "theta=-1:6:2", "bad", "beta=1e-3:2:1"], [""])
+_HANDED_OVER = ["--bet", "-h", "--help", "--", "word", "--J=abc", "--out", "-",
+                "--experimental-closed-form=1", "--format", "xml"]
+
+
+def _option_values(action):
+    if isinstance(action, argparse._AppendAction):
+        return _GRID_WORDS
+    if action.choices is not None:
+        return list(action.choices), ["bogus"]
+    return {float: _FLOAT_WORDS, int: _INT_WORDS}.get(action.type, _PATH_WORDS)
+
+
+@st.composite
+def command_tokens(draw):
+    """A command and tokens for it: its own long options spelled ``--opt=value``
+    or ``--opt value``, its flags, repeated options and grids, and now and
+    then a refused value or a token that only argparse may parse."""
+    command = draw(st.sampled_from(sorted(cli._build_parser()[1])))
+    parser = cli._build_parser()[1][command]
+    actions = [a for a in parser._actions if a.option_strings and a.dest != "help"]
+    tokens = []
+    for _ in range(draw(st.integers(0, 7))):
+        odd = draw(st.integers(0, 19))
+        if odd == 0:
+            tokens.append(draw(st.sampled_from(_HANDED_OVER)))
+            continue
+        action = draw(st.sampled_from(actions))
+        name = action.option_strings[0]
+        if isinstance(action, argparse._StoreTrueAction):
+            tokens.append(name)
+            continue
+        accepted, refused = _option_values(action)
+        values = st.sampled_from(refused if odd == 1 else accepted)
+        if action.type is float:
+            values |= st.floats().map(repr)
+        value = draw(values)
+        tokens += [f"{name}={value}"] if draw(st.booleans()) else [name, value]
+    return command, tokens
+
+
+class TestArgvPass:
+    """``cli._parse_simple`` against the argparse parse it stands in for."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(command_tokens())
+    def test_agrees_with_argparse(self, case):
+        command, tokens = case
+        tokens = cli._join_numeric_values(tokens)
+        parser = cli._build_parser()[1][command]
+        fast = cli._parse_simple(parser, tokens)
+        if fast is None:
+            return
+        args, extra = parser.parse_known_args(tokens)
+        assert extra == []
+        # repr tells -0.0 from 0.0 and compares NaNs alike.
+        assert repr(sorted(vars(fast).items())) == repr(sorted(vars(args).items()))
+
+    @pytest.mark.parametrize("command,tokens", [
+        ("beta-sweep", ["--bet", "2"]), ("verify", ["-h"]), ("verify", ["--help"]),
+        ("beta-sweep", ["--", "--J", "1"]), ("fixed-points", ["--out", "-"]),
+        ("fixed-points", ["--format", "xml"]), ("fixed-points", ["--J=abc"]),
+        ("free-energy", ["--experimental-closed-form=1"]), ("verify", ["word"]),
+        ("verify", ["--seed"]), ("verify", ["--out="]), ("beta-sweep", ["--grid", "--J"]),
+    ])
+    def test_hands_over_to_argparse(self, command, tokens):
+        assert cli._parse_simple(cli._build_parser()[1][command], tokens) is None
+
+    def test_accepts_the_benchmark_spellings(self):
+        parser = cli._build_parser()[1]["beta-sweep"]
+        tokens = ["--J", "0.5", "--J1=-1e-05", "--grid", "beta=1:2:3", "--grid=beta=2:3:4",
+                  "--depth", "3", "--format", "json"]
+        fast = cli._parse_simple(parser, tokens)
+        assert vars(fast) == vars(parser.parse_args(tokens))
+
+    def test_grid_lists_are_fresh(self):
+        parser = cli._build_parser()[1]["phase-diagram"]
+        first = cli._parse_simple(parser, [])
+        second = cli._parse_simple(parser, ["--grid", "theta=1:2:2"])
+        default = parser.get_default("grid")
+        assert first.grid == default == [] and first.grid is not default
+        assert second.grid == ["theta=1:2:2"] and default == []

@@ -22,8 +22,9 @@ from cbtree.exact_oracle import (
     marginal_prob,
     measure_prob,
     plus_minus_mass,
+    plus_minus_masses,
 )
-from cbtree.field_recursion import FieldAssignment, propagate_inward, ti_fixed_points
+from cbtree.field_recursion import FieldAssignment, _lse, propagate_inward, ti_fixed_points
 from cbtree.model import (
     ModelParams,
     SpinConfig,
@@ -237,6 +238,94 @@ class TestPlusMinusMass:
         n = tree.n_vertices
         assert mass_plus == pytest.approx(2.0**-n, rel=0.25)
         assert mass_minus == pytest.approx(2.0**-n, rel=0.25)
+
+
+def reference_masses(tree, params, h):
+    """Constant-field (plus, minus) masses of one point from the int64 bins,
+    with ln(count) taken per call: the per-point form the beta axis replaced."""
+    table = count_table(tree)
+    w = params.beta * params.J * table.a + params.beta * params.J1 * table.b + h * table.c
+    ln_z = _lse(w + np.log(table.count))
+    return float(np.exp(w[PLUS_BIN] - ln_z)), float(np.exp(w[MINUS_BIN] - ln_z))
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+class TestPlusMinusMasses:
+    """``plus_minus_masses`` over a beta axis against the per-point masses."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        depth=st.integers(0, 3),
+        J=st.floats(-5.0, 5.0),
+        J1=st.floats(-5.0, 5.0),
+        points=st.lists(st.tuples(st.floats(1e-3, 60.0), st.floats(-30.0, 30.0)),
+                        min_size=1, max_size=12),
+    )
+    def test_axis_is_the_per_point_masses(self, depth, J, J1, points):
+        tree = build_tree(depth, "full")
+        betas, h = zip(*points)
+        plus, minus = plus_minus_masses(tree, J, J1, betas, h)
+        for beta, h_b, p, m in zip(betas, h, plus.tolist(), minus.tolist()):
+            params = ModelParams(J=J, J1=J1, beta=beta)
+            assert (p, m) == plus_minus_mass(tree, params, h_b) == reference_masses(tree, params, h_b)
+
+    @pytest.mark.parametrize("J,J1,beta,h", [
+        (1e300, -1e300, 1.0, 0.0), (-0.0, 0.0, 5e-324, -0.0), (1e-300, 2.0, 1e300, 1e-300),
+        (2.0, -3.0, 40.0, 700.0), (8e307, 1.0, 1.0, 0.0), (1.0, -8e307, 1.0, -1.0)])
+    def test_edge_points(self, J, J1, beta, h):
+        tree = build_tree(3, "full")
+        params = ModelParams(J=J, J1=J1, beta=beta)
+        with np.errstate(all="ignore"):  # beta*J*A overflows on the last two points
+            got = plus_minus_masses(tree, J, J1, [beta], [h])
+            assert bits(got) == bits(np.transpose([reference_masses(tree, params, h)]))
+
+    def test_axis_longer_than_one_block(self, monkeypatch):
+        tree = build_tree(3, "full")
+        per_block = exact_oracle._BLOCK // count_table(tree).count.size
+        n = 2 * per_block + 5
+        rng = np.random.default_rng(7)
+        betas, h = rng.uniform(0.01, 50.0, n), rng.uniform(-20.0, 20.0, n)
+        blocks = []
+        lse_rows = exact_oracle._lse_rows
+
+        def spy(w):
+            blocks.append(w.size)
+            return lse_rows(w)
+
+        monkeypatch.setattr(exact_oracle, "_lse_rows", spy)
+        plus, minus = plus_minus_masses(tree, 0.7, 1.1, betas, h)
+        assert len(blocks) == 3 and max(blocks) <= exact_oracle._BLOCK
+        for k in range(n):
+            params = ModelParams(J=0.7, J1=1.1, beta=float(betas[k]))
+            assert (plus[k], minus[k]) == reference_masses(tree, params, float(h[k]))
+
+    def test_rejects_unequal_axes(self):
+        with pytest.raises(ValueError, match="one length"):
+            plus_minus_masses(build_tree(1, "full"), 1.0, 1.0, [1.0, 2.0], [0.0])
+
+    def test_exp_is_zero_below_the_cut(self):
+        below = np.array([exact_oracle._EXP_ZERO, -800.0, -1e308, -math.inf])
+        assert np.exp(below).tolist() == [0.0] * 4
+        assert np.exp(exact_oracle._EXP_ZERO + 2.0) > 0.0
+
+    def test_rows_with_a_non_finite_maximum(self):
+        rows = [[0.0, -1.0, 2.5], [math.inf, 0.0, 1.0], [math.nan, 0.0, 1.0],
+                [-math.inf, -math.inf, -math.inf], [1e308, 1e308, -math.inf],
+                [-800.0, 0.0, -745.5], [-0.0, -0.0, -0.0]]
+        got = exact_oracle._lse_rows(np.array(rows))
+        assert bits(got) == bits([_lse(r) for r in rows])
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(1, 40).flatmap(lambda n: st.lists(
+        st.lists(st.floats(allow_nan=True, allow_infinity=True) | st.floats(-800.0, 0.0),
+                 min_size=n, max_size=n), min_size=1, max_size=6)))
+    def test_rows_are_lse_per_row(self, rows):
+        with np.errstate(over="ignore"):  # the shift by the maximum overflows on wide rows
+            got = exact_oracle._lse_rows(np.array(rows))
+            assert bits(got) == bits([_lse(r) for r in rows])
 
 
 TABLE_TREES = [(d, "full") for d in range(4)] + [(d, "half") for d in range(5)]

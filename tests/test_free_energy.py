@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from cbtree import exact_oracle
 from cbtree.field_recursion import (
+    _lse,
     _lse4,
     _lse4_array,
     _pair_log_weights,
@@ -126,6 +127,28 @@ def reference_record(ln_z1, rate, beta, n_max):
         ln_z = ln_z1 + 3.0 * (np.ldexp(1.0, n - 1) - 1.0) * rate
         f_n = (-(ln_z / (3.0 * np.ldexp(1.0, n))) / beta)
     return ln_z.tolist(), f_n.tolist()
+
+
+# ln Z_1 as numpy built it before it moved to Python floats: the same
+# exponent, beta*(J*pair + J1*edge) plus the child fields added one at a
+# time, over 16-term (full) or 8-term (half) arrays.  The float form must
+# equal it bit for bit.
+
+
+def _reference_z1_terms(n_children):
+    terms = [(sum(a * b for a, b in itertools.combinations(spins, 2)), s_root * sum(spins), spins)
+             for s_root in (1, -1) for spins in itertools.product((1, -1), repeat=n_children)]
+    return tuple(np.array(column, dtype=np.float64) for column in zip(*terms))
+
+
+_REFERENCE_Z1_TERMS = {"full": _reference_z1_terms(3), "half": _reference_z1_terms(2)}
+
+
+def reference_ln_z1(beta, J, J1, mode, child_fields):
+    pair, edge, spins = _REFERENCE_Z1_TERMS[mode]
+    with np.errstate(all="ignore"):
+        field = sum(h * s for h, s in zip(child_fields, spins.T))
+        return _lse(beta * (J * pair + J1 * edge) + field)
 
 
 def bits(values):
@@ -457,6 +480,61 @@ class TestLogPartitionRecursive:
             log_partition_recursive(TWO_FIVE, fields, depth=0)
         with pytest.raises(ValueError):
             log_partition_recursive(TWO_FIVE, fields, depth=3)
+
+
+edge_floats = st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e-300, 1e154, -1e154,
+                                1e308, -1e308, 1.7976931348623157e308])
+
+
+class TestLnZ1:
+    """``_ln_z1`` in Python floats against the numpy form it replaced."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(beta=st.floats(1e-3, 50.0) | st.floats(5e-324, 1e308)
+           | edge_floats.filter(lambda x: x > 0.0),
+           J=bounded | st.floats(-1e308, 1e308) | edge_floats,
+           J1=bounded | st.floats(-1e308, 1e308) | edge_floats,
+           mode=st.sampled_from(["full", "half"]),
+           fields=st.lists(bounded | st.floats(-1e308, 1e308) | edge_floats,
+                           min_size=3, max_size=3),
+           as_numpy=st.booleans())
+    def test_equals_numpy_form(self, beta, J, J1, mode, fields, as_numpy):
+        fields = fields[:3 if mode == "full" else 2]
+        if as_numpy:  # log_partition_recursive passes numpy scalars
+            fields = np.array(fields)
+        with np.errstate(all="ignore"):  # _lse's shift overflows on some draws
+            got = free_energy_module._ln_z1(beta, J, J1, mode, fields)
+        assert bits([got]) == bits([reference_ln_z1(beta, J, J1, mode, fields)])
+
+    @pytest.mark.parametrize("mode", ["full", "half"])
+    def test_equals_numpy_form_on_kernel_draws(self, mode):
+        # Moderate points, where a change of summation order shows in the
+        # last bit of a few percent of them.
+        draws = kernel_draws(21, (3000, 6))
+        for beta, J, J1, *fields in draws.tolist():
+            beta = abs(beta) or 1.0
+            fields = fields[:3 if mode == "full" else 2]
+            got = free_energy_module._ln_z1(beta, J, J1, mode, fields)
+            assert bits([got]) == bits([reference_ln_z1(beta, J, J1, mode, fields)])
+
+    @pytest.mark.parametrize("mode", ["full", "half"])
+    @pytest.mark.parametrize("beta,J,J1,h", [
+        (1.0, 0.0, -0.0, -0.0), (1.0, -0.0, -0.0, 0.0), (2.0, 0.7, 1.1, 0.3),
+        (0.0006949585038742669, 355.0, -1e308, 0.0), (1e300, 1e-300, -1e-300, 1e300),
+        (1.0, 1e308, 1e308, -1e308)])
+    def test_edge_points(self, mode, beta, J, J1, h):
+        fields = (h, -h, h)[:3 if mode == "full" else 2]
+        got = free_energy_module._ln_z1(beta, J, J1, mode, fields)
+        assert bits([got]) == bits([reference_ln_z1(beta, J, J1, mode, fields)])
+
+    def test_overflowing_exponent_raises_no_warning(self):
+        # J1*edge overflows a float; the record is then refused, without a
+        # numpy RuntimeWarning on the way.
+        params = ModelParams(J=355.0, J1=-1e308, beta=0.0006949585038742669)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^n_max=3 carries ln Z_n beyond the float range"):
+                free_energy(params, "u3", n_max=3)
 
 
 class TestFreeEnergy:

@@ -59,6 +59,8 @@ CASES = {
                                    "--grid", "theta=1:2:2"],
     "phase_diagram_foreign_axis": ["phase-diagram", "--grid", "theta1=2:3:2",
                                    "--grid", "theta=1:6:2", "--grid", "beta=1:2:2"],
+    "phase_diagram_oversized_grid": ["phase-diagram", "--grid", "theta1=2:3:2",
+                                     "--grid", "theta=1:6:100000000000000000"],
     "phase_diagram_repeated_axis": ["phase-diagram", "--grid", "theta1=2:3:2",
                                     "--grid", "theta1=5:6:2", "--grid", "theta=1:6:2"],
     # The JSON document holds the curve, so no curve file would be written.
@@ -115,6 +117,10 @@ CASES = {
                                 "--grid", "beta=1:23.06:3", "--depth", "4"],
     "beta_sweep_inf_endpoint": ["beta-sweep", "--J", "1", "--J1", "1",
                                 "--grid", "beta=1:inf:3"],
+    # More points than an address space holds: numpy's MemoryError is a
+    # usage error naming the spec, not a traceback.
+    "beta_sweep_oversized_grid": ["beta-sweep", "--J", "1", "--J1", "1",
+                                  "--grid", "beta=1:2:100000000000000000"],
     "ground_state_theta_option": ["ground-state", "--J", "-0.5", "--J1", "1", "--theta", "7",
                                   "--grid", "beta=1:2:2"],
     "ground_state_csv": ["ground-state", "--J", "-0.5", "--J1", "1", "--grid", "beta=1:10:4"],

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cbtree import exact_oracle
 from cbtree.field_recursion import ti_fixed_points
 from cbtree.ground_states import (
     exhaustive_lemma_check,
@@ -69,6 +72,28 @@ class TestGroundStateScan:
     def test_depth_cap(self):
         with pytest.raises(ValueError):
             ground_state_scan(1.0, 1.0, [1.0], depth=4)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(depth=st.integers(0, 3), J=st.floats(-2.0, 2.0), J1=st.floats(-2.0, 2.0),
+           betas=st.lists(st.floats(0.01, 60.0), min_size=1, max_size=8))
+    def test_masses_are_the_per_beta_masses(self, depth, J, J1, betas):
+        # One pass over the axis gives each beta the masses of its own
+        # plus_minus_mass calls, the upper branch's and the lower branch's.
+        betas = sorted(betas)
+        tree = build_tree(depth, "full")
+        try:
+            rows = ground_state_scan(J, J1, betas, depth=depth)
+        except RuntimeError:  # a non-monotone tail is refused; nothing to compare
+            return
+        for beta, row in zip(betas, rows):
+            params = ModelParams(J=J, J1=J1, beta=beta)
+            fps = ti_fixed_points(params)
+            assert (row.beta, row.regime, row.u1, row.u3) == (beta, fps.regime, fps.u1, fps.u3)
+            if fps.regime != "three":
+                assert row.mass_plus is row.mass_minus is None
+                continue
+            assert row.mass_plus == exact_oracle.plus_minus_mass(tree, params, fps.h3)[0]
+            assert row.mass_minus == exact_oracle.plus_minus_mass(tree, params, fps.h1)[1]
 
 
 class TestExhaustiveLemmaCheck:
