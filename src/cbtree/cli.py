@@ -91,8 +91,6 @@ def _fmt(x) -> str:
 
 
 def _cell(x) -> str:
-    if type(x) is float:
-        return format(x, ".17g")
     if x is None:
         return ""
     if isinstance(x, str):
@@ -569,7 +567,10 @@ def _parse_simple(parser: argparse.ArgumentParser, tokens: list[str]) -> argpars
     value`` (a non-empty value not starting with "-") or a bare ``store_true``
     flag, with ``--opt`` an exact long option of ``parser`` and the value
     passing its ``type`` and ``choices``; otherwise None, for argparse to
-    parse and report.  List defaults are copied, so calls share no list."""
+    parse and report.  List defaults are copied, so calls share no list.
+    It reads private argparse names (``_defaults``, ``_actions``,
+    ``_option_string_actions``, ``_Store*Action``, ``_AppendAction``), so
+    rerun ``TestArgvPass`` (passing on Python 3.11) on any new Python."""
     values = {**parser._defaults, **{a.dest: list(a.default) if isinstance(a.default, list)
                                      else a.default for a in parser._actions
                                      if a.default is not argparse.SUPPRESS}}

@@ -30,13 +30,11 @@ of the vertex.  ``enumerated_count_table`` builds the same table by one
 block-wise pass over all configurations and is its oracle; ``verify``
 reads its recursion check from that one.  ``log_partition`` and
 ``plus_minus_mass`` with a constant field are then a log-sum-exp over the
-bins (1340 at full depth 3) instead of over 2**22 configurations.
-``plus_minus_masses`` does the masses of a whole beta axis in one pass, a
-row of bins per (beta, h) in blocks of at most ``_BLOCK`` cells, bit for
-bit the masses of each point: ``plus_minus_mass`` is its one-row case.  Any
-other field, and ``measure_prob``, ``marginal_prob`` and
-``check_consistency``, take the per-configuration ``log_weights`` route,
-which stays the independent reference.
+bins (1340 at full depth 3) instead of over 2**22 configurations, and
+``plus_minus_masses`` does a whole beta axis in one pass, bit for bit the
+masses of each point (``plus_minus_mass`` is its one-row case).  Any other
+field, and ``measure_prob``, ``marginal_prob`` and ``check_consistency``,
+take the per-configuration ``log_weights`` route, the independent reference.
 """
 
 from __future__ import annotations
@@ -112,11 +110,7 @@ class CountTable:
         bj*A + bj1*B + h*C with bj = beta*J and bj1 = beta*J1: one row per
         entry of equal-length 1-D arrays, or one 1-D row for floats."""
         a, b, c = self.stats
-        w = np.multiply.outer(bj, a)
-        tmp = np.multiply.outer(bj1, b)
-        w += tmp
-        w += np.multiply.outer(h, c, out=tmp)
-        return w
+        return np.multiply.outer(bj, a) + np.multiply.outer(bj1, b) + np.multiply.outer(h, c)
 
     def log_partition(self, params: ModelParams, h: float) -> float:
         """ln Z as a log-sum-exp over bins.
@@ -125,8 +119,20 @@ class CountTable:
         its ``log_weights`` entry and exp(w - ln Z) <= 1 holds by
         construction.
         """
-        return _lse(self.log_weights(params.beta * params.J, params.beta * params.J1, h)
-                    + self.ln_count)
+        w = self.log_weights(params.beta * params.J, params.beta * params.J1, h)
+        return float(_lse_rows(w[None] + self.ln_count)[0])
+
+
+def _lse_rows(w: np.ndarray) -> np.ndarray:
+    """``_lse`` of each row of a 2-D array, bit for bit; overwrites ``w``."""
+    m = w.max(axis=1)
+    finite = np.isfinite(m)
+    if not finite.all():  # such a row's value is its maximum, as in ``_lse``
+        out = m.copy()
+        out[finite] = _lse_rows(w[finite])
+        return out
+    w -= m[:, None]
+    return m + np.log(np.sum(np.exp(w, out=w), axis=1))
 
 
 def _count_block(tree: TreeIndex, shape: tuple[int, int, int], rng) -> np.ndarray:
@@ -345,26 +351,6 @@ def check_consistency(params: ModelParams, fields: FieldAssignment) -> float:
     w_prev = log_weights(sub, params, fields.level_values(n - 1), low)
     prev = np.exp(w_prev - _lse(w_prev))
     return float(np.max(np.abs(marginal - prev)))
-
-
-# exp(x) is 0.0 for every x below this (e**-746 is under half the smallest
-# subnormal).  numpy's exp is slow there, where most low-temperature terms are.
-_EXP_ZERO = -746.0
-
-
-def _lse_rows(w: np.ndarray) -> np.ndarray:
-    """``_lse`` of each row of a 2-D array, bit for bit; overwrites ``w``.
-    Terms whose exp is 0.0 are not passed to exp."""
-    m = w.max(axis=1)
-    finite = np.isfinite(m)
-    if not finite.all():  # such a row's value is its maximum, as in ``_lse``
-        out = m.copy()
-        out[finite] = _lse_rows(w[finite])
-        return out
-    w -= m[:, None]
-    terms = np.zeros_like(w)
-    np.exp(w, out=terms, where=w >= _EXP_ZERO)
-    return m + np.log(np.sum(terms, axis=1))
 
 
 def plus_minus_masses(tree: TreeIndex, J: float, J1: float, betas, h) -> tuple[np.ndarray, np.ndarray]:

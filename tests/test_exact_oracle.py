@@ -306,10 +306,13 @@ class TestPlusMinusMasses:
         with pytest.raises(ValueError, match="one length"):
             plus_minus_masses(build_tree(1, "full"), 1.0, 1.0, [1.0, 2.0], [0.0])
 
-    def test_exp_is_zero_below_the_cut(self):
-        below = np.array([exact_oracle._EXP_ZERO, -800.0, -1e308, -math.inf])
-        assert np.exp(below).tolist() == [0.0] * 4
-        assert np.exp(exact_oracle._EXP_ZERO + 2.0) > 0.0
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(depth=st.integers(0, 3), J=st.floats(-5.0, 5.0), J1=st.floats(-5.0, 5.0),
+           beta=st.floats(1e-3, 60.0), h=st.floats(-30.0, 30.0))
+    def test_table_log_partition_is_the_one_row_case(self, depth, J, J1, beta, h):
+        table = count_table(build_tree(depth, "full"))
+        w = table.log_weights(beta * J, beta * J1, h) + table.ln_count
+        assert bits(table.log_partition(ModelParams(J=J, J1=J1, beta=beta), h)) == bits(_lse(w))
 
     def test_rows_with_a_non_finite_maximum(self):
         rows = [[0.0, -1.0, 2.5], [math.inf, 0.0, 1.0], [math.nan, 0.0, 1.0],
