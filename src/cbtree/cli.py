@@ -33,9 +33,8 @@ import sys
 from collections.abc import Iterable, Iterator
 from json.encoder import encode_basestring_ascii
 
-import numpy as np
-
 from . import exact_oracle, ground_states
+from ._lazy import LazyNumpy
 from .free_energy import (
     _level_log_factor,
     free_energy,
@@ -58,6 +57,8 @@ from .field_recursion import (
 )
 from .model import ModelParams
 from .topology import build_tree
+
+np = LazyNumpy(globals())
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1

@@ -32,10 +32,11 @@ import contextlib
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import LazyNumpy
 from .model import ModelParams
 from .topology import TreeIndex
+
+np = LazyNumpy(globals())
 
 # Reported as "degenerate" when the quadratic discriminant sits inside this
 # band; avoids spurious twin roots from rounding on the critical curve.
@@ -267,7 +268,6 @@ def _axis_terms(params_of, axis) -> np.ndarray:
     return out
 
 
-@np.errstate(all="ignore")
 def _solve_constant(theta, theta1, a1, aj):
     """Regime index into REGIMES, u1, u3 and a flag per cell over broadcast
     (theta, theta1, 2*beta*J1, beta*J) arrays.
@@ -276,15 +276,16 @@ def _solve_constant(theta, theta1, a1, aj):
     when the scalar face could reject it: a NaN input or root sum, theta = 0,
     an infinite u3, or a failed u1, u2 or u3 residual check.
     """
-    regime, t = _classify(theta, theta1)
-    u3 = np.where(regime == 2, _larger_root(t, np.sqrt), 1.0)
-    u1 = 1.0 / u3
-    u = np.stack([u1, np.ones_like(u1), u3])
-    h = 0.5 * np.log(u)
-    w_up, w_down = _pair_log_weights(a1, aj, h, h, _lse4_array)
-    ok = np.abs(np.exp(w_up - w_down) - u) <= RESIDUAL_TOL * np.maximum(1.0, u)
-    bad = ~ok.all(axis=0) | np.isnan(t) | np.isinf(u3) | (theta == 0.0)
-    return regime, u1, u3, bad
+    with np.errstate(all="ignore"):
+        regime, t = _classify(theta, theta1)
+        u3 = np.where(regime == 2, _larger_root(t, np.sqrt), 1.0)
+        u1 = 1.0 / u3
+        u = np.stack([u1, np.ones_like(u1), u3])
+        h = 0.5 * np.log(u)
+        w_up, w_down = _pair_log_weights(a1, aj, h, h, _lse4_array)
+        ok = np.abs(np.exp(w_up - w_down) - u) <= RESIDUAL_TOL * np.maximum(1.0, u)
+        bad = ~ok.all(axis=0) | np.isnan(t) | np.isinf(u3) | (theta == 0.0)
+        return regime, u1, u3, bad
 
 
 def ti_fixed_points_grid(theta1_grid, theta_grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -29,8 +29,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import LazyNumpy
 from .field_recursion import (
     REGIME_THREE,
     FieldAssignment,
@@ -39,6 +38,8 @@ from .field_recursion import (
     ti_fixed_points,
 )
 from .model import ModelParams
+
+np = LazyNumpy(globals())
 
 
 def ln2cosh(x):

@@ -15,12 +15,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import exact_oracle
+from ._lazy import LazyNumpy
 from .field_recursion import REGIME_THREE, REGIMES, ti_fixed_points_betas
 from .model import stat_maxima
 from .topology import boundary_census, build_tree
+
+np = LazyNumpy(globals())
 
 # Non-decreasing mass along the in-regime beta tail, up to this slack.
 MONOTONE_SLACK = 1e-9

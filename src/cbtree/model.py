@@ -22,9 +22,10 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import LazyNumpy
 from .topology import TreeIndex, edge_pairs, sibling_pairs
+
+np = LazyNumpy(globals())
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
-"""Order-preserving thread fan-out, capped by the CBTREE_THREADS env var."""
+"""Order-preserving thread fan-out, capped by the CBTREE_THREADS env var.
+
+``concurrent.futures`` is imported by the first call that fans out."""
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 ENV_VAR = "CBTREE_THREADS"
 
@@ -29,5 +30,6 @@ def parallel_map(fn, items):
     workers = thread_count()
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))

@@ -27,7 +27,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-import numpy as np
+from ._lazy import LazyNumpy
+
+np = LazyNumpy(globals())
 
 # Trees are only meant for desk-scale exact work; depth 12 full already has
 # 12286 vertices.
@@ -82,8 +84,9 @@ class TreeIndex:
         return tuple(c for c in self.children[p] if c != v)
 
 
+@lru_cache(maxsize=None, typed=True)
 def build_tree(depth: int, mode: str = "full") -> TreeIndex:
-    """Build the depth-``depth`` slice, vertices numbered level by level."""
+    """The depth-``depth`` slice, vertices numbered level by level; built once per argument tuple."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if depth < 0:

@@ -380,6 +380,72 @@ class TestTIFixedPointsGrid:
         assert len(calls) == 3 * 9  # every cell re-solved, three residuals each
 
 
+@np.errstate(all="ignore")
+def reference_solve_constant(theta, theta1, a1, aj):
+    """``_solve_constant`` as written with numpy's errstate as its decorator."""
+    fr = field_recursion
+    regime, t = fr._classify(theta, theta1)
+    u3 = np.where(regime == 2, fr._larger_root(t, np.sqrt), 1.0)
+    u1 = 1.0 / u3
+    u = np.stack([u1, np.ones_like(u1), u3])
+    h = 0.5 * np.log(u)
+    w_up, w_down = fr._pair_log_weights(a1, aj, h, h, fr._lse4_array)
+    ok = np.abs(np.exp(w_up - w_down) - u) <= fr.RESIDUAL_TOL * np.maximum(1.0, u)
+    bad = ~ok.all(axis=0) | np.isnan(t) | np.isinf(u3) | (theta == 0.0)
+    return regime, u1, u3, bad
+
+
+class TestSolveConstantWarnings:
+    """The array pass keeps numpy's floating-point warnings to itself."""
+
+    # theta = 0, a NaN root sum (inf - inf), an overflowing theta1, an
+    # overflowing theta1/theta, then ordinary cells.
+    THETA = np.array([0.0, 1e-200, 4.0, 5e-324, 4.0, 5.0, 1.5])
+    THETA1 = np.array([2.0, 1e200, 1e300, 2.0, 1e150, 2.0, 3.0])
+
+    def cells(self):
+        with np.errstate(divide="ignore"):
+            return self.THETA, self.THETA1, np.log(self.THETA1), 0.5 * np.log(self.THETA)
+
+    def test_cells_warn_without_errstate(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeWarning):
+                reference_solve_constant.__wrapped__(*self.cells())
+
+    def test_equal_to_decorated_form_and_warning_free(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = field_recursion._solve_constant(*self.cells())
+        for a, b in zip(got, reference_solve_constant(*self.cells())):
+            assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
+
+    @pytest.mark.parametrize("face, args", [
+        (ti_fixed_points_grid, ([2.0, 1e150, 1e-300], [5e-324, 1e-300, 4.0, 1e300])),
+        (ti_fixed_points_betas, (1.0, -1.0, [1e-300, 1.0])),
+        (ti_fixed_points_betas, (-1.0, -300.0, [1.0])),
+    ])
+    def test_faces_match_decorated_form(self, monkeypatch, face, args):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = face(*args)
+            monkeypatch.setattr(field_recursion, "_solve_constant", reference_solve_constant)
+            expected = face(*args)
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("face, args, error", [
+        (ti_fixed_points_grid, ([1e300], [4.0]), OverflowError),      # theta1**2 overflows
+        (ti_fixed_points_grid, ([1e200], [1e-200]), OverflowError),   # NaN root sum
+        (ti_fixed_points_betas, (-300.0, 1.0, [1.0, 2.0]), ZeroDivisionError),  # theta = 0
+    ])
+    def test_faces_raise_the_scalar_error_not_a_warning(self, face, args, error):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error):
+                face(*args)
+
+
 class TestPhasePredicate:
     def test_examples(self):
         assert phase_predicate(TWO_FIVE) is True

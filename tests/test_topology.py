@@ -125,6 +125,23 @@ class TestBuildTree:
         with pytest.raises(ValueError):
             build_tree(2, "quarter")
 
+    def test_one_tree_per_arguments(self):
+        assert build_tree(3, "full") is build_tree(3, "full")
+        assert build_tree(3, "half") is not build_tree(3, "full")
+
+    @pytest.mark.parametrize("depth, mode, match", [
+        (-1, "full", "non-negative"), (13, "full", "cap"), (2, "quarter", "mode"),
+        (2.0, "full", "float"),  # no cached depth-2 tree for a float depth
+    ])
+    def test_refusals_are_not_cached(self, depth, mode, match):
+        build_tree(2, "full")
+        messages = set()
+        for _ in range(3):
+            with pytest.raises((ValueError, TypeError), match=match) as info:
+                build_tree(depth, mode)
+            messages.add((type(info.value), str(info.value)))
+        assert len(messages) == 1
+
 
 class TestNearestPairs:
     """Nearest-neighbor pairs are the (parent, child) tuples of ``edge_pairs``."""
