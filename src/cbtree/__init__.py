@@ -13,7 +13,6 @@ from .exact_oracle import (
     log_weights,
     marginal_prob,
     measure_prob,
-    plus_minus_mass,
 )
 from .field_recursion import (
     FieldAssignment,
@@ -29,12 +28,10 @@ from .free_energy import (
     AsymptoteResult,
     FreeEnergyReport,
     asymptotic_field_slope,
-    effective_field,
     free_energy,
     level_log_factor,
     ln2cosh,
     log_cosh_cross,
-    log_cosh_even,
     log_partition_recursive,
     pair_log_weights,
     zero_temperature_limit,

@@ -36,6 +36,7 @@ from json.encoder import encode_basestring_ascii
 from . import exact_oracle, ground_states
 from ._lazy import LazyNumpy
 from .free_energy import (
+    N_MAX,
     _level_log_factor,
     free_energy,
     free_energy_betas,
@@ -301,7 +302,6 @@ def cmd_free_energy(args: argparse.Namespace) -> _Result:
     params = _point_params(args)
     rep = free_energy(params, branch=args.branch, n_max=args.n_max)
     payload = {"params": _fields(params), **_fields(rep)}
-    del payload["beta"]  # already under params
     if args.experimental_closed_form:
         payload["asymptote"] = _fields(zero_temperature_limit(params.J, params.J1))
     if args.fmt == "json":
@@ -515,7 +515,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p = sub.add_parser("free-energy", help="free-energy report for one branch")
     add_common(p, point=_NUMERIC_OPTIONS)
     p.add_argument("--branch", choices=("u1", "u2", "u3"), default="u3")
-    p.add_argument("--n-max", type=int, default=30)
+    p.add_argument("--n-max", type=int, default=N_MAX)
     p.add_argument("--experimental-closed-form", action="store_true",
                    help="attach the experimental zero-temperature closed forms")
 

@@ -28,13 +28,13 @@ configuration: all subtrees on one level are equal, so a DP from the
 boundary inwards convolves the bin counts of a vertex's children, per spin
 of the vertex.  ``enumerated_count_table`` builds the same table by one
 block-wise pass over all configurations and is its oracle; ``verify``
-reads its recursion check from that one.  ``log_partition`` and
-``plus_minus_mass`` with a constant field are then a log-sum-exp over the
-bins (1340 at full depth 3) instead of over 2**22 configurations, and
-``plus_minus_masses`` does a whole beta axis in one pass, bit for bit the
-masses of each point (``plus_minus_mass`` is its one-row case).  Any other
-field, and ``measure_prob``, ``marginal_prob`` and ``check_consistency``,
-take the per-configuration ``log_weights`` route, the independent reference.
+reads its recursion check from that one.  ``log_partition`` with a
+constant field is then a log-sum-exp over the bins (1340 at full depth 3)
+instead of over 2**22 configurations, and ``plus_minus_masses`` does the
+all-plus and all-minus masses of a whole beta axis in one pass over them.
+Any other field, and ``measure_prob``, ``marginal_prob`` and
+``check_consistency``, take the per-configuration ``log_weights`` route,
+the independent reference.
 """
 
 from __future__ import annotations
@@ -355,10 +355,10 @@ def check_consistency(params: ModelParams, fields: FieldAssignment) -> float:
 
 
 def plus_minus_masses(tree: TreeIndex, J: float, J1: float, betas, h) -> tuple[np.ndarray, np.ndarray]:
-    """``plus_minus_mass(tree, ModelParams(J, J1, beta), h)`` bit for bit, as a
-    plus and a minus array, for each entry of the equal-length 1-D arrays
-    ``betas`` and ``h`` (constant fields).  The rows go in blocks of at most
-    ``_BLOCK`` (row, bin) cells of ``count_table(tree)``."""
+    """Probabilities of the all-plus and all-minus configurations under the
+    constant field h and ``ModelParams(J, J1, beta)``, per entry of the
+    equal-length 1-D arrays ``betas`` and ``h``, as a plus and a minus array.
+    The rows go in blocks of at most ``_BLOCK`` (row, bin) cells of the table."""
     table = count_table(tree)
     betas, h = np.asarray(betas, dtype=np.float64), np.asarray(h, dtype=np.float64)
     if betas.ndim != 1 or betas.shape != h.shape:
@@ -372,18 +372,3 @@ def plus_minus_masses(tree: TreeIndex, J: float, J1: float, betas, h) -> tuple[n
         w += table.ln_count
         plus[rows], minus[rows] = np.exp(ends - _lse_rows(w))
     return plus, minus
-
-
-def plus_minus_mass(tree: TreeIndex, params: ModelParams, h) -> tuple[float, float]:
-    """Probabilities of the all-plus and all-minus configurations; a constant
-    field is the one-row case of ``plus_minus_masses``."""
-    _check_enum_cap(tree)
-    hb = _boundary_array(tree, h)
-    hc = float(hb[0])
-    if np.all(hb == hc):
-        plus, minus = plus_minus_masses(tree, params.J, params.J1, [params.beta], [hc])
-        return float(plus[0]), float(minus[0])
-    ln_z = _log_partition_enumerated(tree, params, hb)
-    extremes = np.array([(1 << tree.n_vertices) - 1, 0], dtype=np.int64)
-    w = log_weights(tree, params, hb, extremes)
-    return float(np.exp(w[0] - ln_z)), float(np.exp(w[1] - ln_z))

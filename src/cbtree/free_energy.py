@@ -2,12 +2,12 @@
 
 Peeling the outermost level off a depth-n slice multiplies the partition
 function by one factor per depth-(n-1) vertex.  The log of that factor,
-``level_log_factor``, decomposes into three stable kernels built on
-ln(2 cosh), whose two even kernels and two transmitted fields share four
-ln(2 cosh) values.  It equals half the sum of the two conditional
-child-pair log weights (``pair_log_weights``, defined next to the field
-recursion that takes their half-difference and re-exported here), which
-is the central identity the test suite hammers on.
+``level_log_factor``, is built on ln(2 cosh): two even terms and the
+cross kernel ``log_cosh_cross`` at the two fields transmitted to a child
+share four ln(2 cosh) values.  It equals half the sum of the two
+conditional child-pair log weights (``pair_log_weights``, defined next to
+the field recursion that takes their half-difference and re-exported
+here), which is the central identity the test suite hammers on.
 
 With the base ln Z_1 enumerated directly (16 terms on the full tree, 8 on
 the half tree), telescoping the factors reproduces ln Z_n exactly.  Under a
@@ -48,28 +48,12 @@ def ln2cosh(x):
     return ax + np.log1p(np.exp(-2.0 * ax))
 
 
-def log_cosh_even(shift, x):
-    """(1/4) ln[4 cosh(x - shift) cosh(x + shift)]; even in both arguments."""
-    return 0.25 * (ln2cosh(x - shift) + ln2cosh(x + shift))
-
-
 def log_cosh_cross(shift, x, y):
     """(1/2) ln[4 cosh(x - shift) cosh(y + shift)].
 
     Swapping the arguments and negating both leaves the value unchanged.
     """
     return 0.5 * (ln2cosh(x - shift) + ln2cosh(y + shift))
-
-
-def effective_field(x, params: ModelParams):
-    """atanh(tanh(beta*J) * tanh(x)), the field transmitted through one edge.
-
-    Computed as (1/2)[ln2cosh(x + beta*J) - ln2cosh(x - beta*J)], which is
-    the same function without the tanh round trip; odd in x and bounded by
-    min(|x|, |beta*J|).
-    """
-    bj = params.beta * params.J
-    return 0.5 * (ln2cosh(x + bj) - ln2cosh(x - bj))
 
 
 def _level_log_factor(bj, bj1, hy, hz):
@@ -161,7 +145,6 @@ class FreeEnergyReport:
     branch: str
     u_star: float
     h_star: float
-    beta: float
     level_rate: float
     ln_z: tuple[float, ...]  # n = 1 .. n_max
     f_n: tuple[float, ...]
@@ -206,7 +189,6 @@ def free_energy(params: ModelParams, branch: str = "u3", n_max: int = N_MAX) -> 
         branch=branch,
         u_star=u,
         h_star=h,
-        beta=beta,
         level_rate=rate,
         ln_z=tuple(ln_z),
         f_n=tuple(f_n),

@@ -15,6 +15,7 @@ from cbtree.free_energy import free_energy, level_log_factor, pair_log_weights
 from cbtree.cli import main, run_verification
 from cbtree.model import ModelParams
 from cbtree.topology import build_tree
+from test_exact_oracle import reference_masses
 
 TWO_FIVE_ARGS = ["--theta", "5", "--theta1", "2"]
 
@@ -484,15 +485,15 @@ class TestVerifyCommand:
 
 
 def reference_sweep_row(J, J1, beta, tree):
-    """One ``beta-sweep`` row from the scalar faces: one fixed-point solve and
-    two ``free_energy`` reports per beta."""
+    """One ``beta-sweep`` row from the scalar faces: one fixed-point solve,
+    two ``free_energy`` reports and the per-point masses per beta."""
     params = ModelParams(J=J, J1=J1, beta=float(beta))
     fps = ti_fixed_points(params)
     f3 = free_energy(params, "u3").f_const_field
     f1 = free_energy(params, "u1").f_const_field
     mass_plus = None
     if tree is not None and fps.regime == REGIME_THREE:
-        mass_plus = exact_oracle.plus_minus_mass(tree, params, fps.h3)[0]
+        mass_plus = reference_masses(tree, params, fps.h3)[0]
     return (float(beta), fps.regime, fps.u1, fps.u3, f3, f1, abs(f3 - f1),
             ground_states.root_magnetization(fps.u3), mass_plus)
 

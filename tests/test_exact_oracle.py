@@ -21,7 +21,6 @@ from cbtree.exact_oracle import (
     log_weights,
     marginal_prob,
     measure_prob,
-    plus_minus_mass,
     plus_minus_masses,
 )
 from cbtree.field_recursion import FieldAssignment, _lse, propagate_inward, ti_fixed_points
@@ -59,8 +58,6 @@ class TestBoundaryField:
         fields = propagate_inward(tree, TWO_FIVE, np.linspace(-0.3, 0.3, 6))
         boundary = list(fields.boundary_values())
         assert log_partition(tree, TWO_FIVE, fields) == log_partition(tree, TWO_FIVE, boundary)
-        assert plus_minus_mass(tree, TWO_FIVE, fields) == plus_minus_mass(
-            tree, TWO_FIVE, boundary)
 
 
 class TestLogPartition:
@@ -215,26 +212,28 @@ class TestConsistency:
 
 
 class TestPlusMinusMass:
+    """The masses of one point, from ``reference_masses``."""
+
     def test_low_temperature_dominance(self):
         tree = build_tree(2, "full")
         params = ModelParams(J=1.0, J1=1.0, beta=10.0)
         fps = ti_fixed_points(params)
-        mass_plus, _ = plus_minus_mass(tree, params, fps.h3)
+        mass_plus, _ = reference_masses(tree, params, fps.h3)
         assert mass_plus >= 0.99
 
     def test_mirror_branch(self):
         tree = build_tree(2, "full")
         params = ModelParams(J=1.0, J1=1.0, beta=10.0)
         fps = ti_fixed_points(params)
-        plus_under_h3, _ = plus_minus_mass(tree, params, fps.h3)
-        _, minus_under_h1 = plus_minus_mass(tree, params, fps.h1)
+        plus_under_h3, _ = reference_masses(tree, params, fps.h3)
+        _, minus_under_h1 = reference_masses(tree, params, fps.h1)
         assert minus_under_h1 == pytest.approx(plus_under_h3, rel=1e-10)
         assert minus_under_h1 >= 0.99
 
     def test_high_temperature_near_uniform(self):
         tree = build_tree(2, "full")
         params = ModelParams(J=0.1, J1=0.1, beta=0.1)
-        mass_plus, mass_minus = plus_minus_mass(tree, params, 0.0)
+        mass_plus, mass_minus = reference_masses(tree, params, 0.0)
         n = tree.n_vertices
         assert mass_plus == pytest.approx(2.0**-n, rel=0.25)
         assert mass_minus == pytest.approx(2.0**-n, rel=0.25)
@@ -270,7 +269,7 @@ class TestPlusMinusMasses:
         plus, minus = plus_minus_masses(tree, J, J1, betas, h)
         for beta, h_b, p, m in zip(betas, h, plus.tolist(), minus.tolist()):
             params = ModelParams(J=J, J1=J1, beta=beta)
-            assert (p, m) == plus_minus_mass(tree, params, h_b) == reference_masses(tree, params, h_b)
+            assert (p, m) == reference_masses(tree, params, h_b)
 
     @pytest.mark.parametrize("J,J1,beta,h", [
         (1e300, -1e300, 1.0, 0.0), (-0.0, 0.0, 5e-324, -0.0), (1e-300, 2.0, 1e300, 1e-300),
@@ -403,7 +402,7 @@ class TestCountTable:
         per_config = exact_oracle._log_partition_enumerated(
             tree, params, np.full(tree.level_size(tree.depth), h))
         assert abs(log_partition(tree, params, h) - per_config) <= 1e-13 * abs(per_config)
-        mass_plus, mass_minus = plus_minus_mass(tree, params, h)
+        (mass_plus,), (mass_minus,) = plus_minus_masses(tree, bj, bj1, [1.0], [h])
         assert 0.0 <= mass_plus <= 1.0 and 0.0 <= mass_minus <= 1.0
 
     def test_depth3_log_partition_matches_per_configuration_route(self):

@@ -21,13 +21,11 @@ from cbtree.field_recursion import (
 from cbtree.free_energy import (
     _level_log_factor,
     asymptotic_field_slope,
-    effective_field,
     free_energy,
     free_energy_betas,
     level_log_factor,
     ln2cosh,
     log_cosh_cross,
-    log_cosh_even,
     log_partition_recursive,
     pair_log_weights,
     zero_temperature_limit,
@@ -83,13 +81,6 @@ def reference_log_cosh_cross(shift, x, y):
 
 def reference_effective_field_core(bj, x):
     return 0.5 * (reference_ln2cosh(x + bj) - reference_ln2cosh(x - bj))
-
-
-def reference_effective_field(x, params):
-    out = reference_effective_field_core(params.beta * params.J, np.asarray(x, dtype=np.float64))
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
 
 
 def reference_level_log_factor(bj, bj1, hy, hz):
@@ -175,15 +166,13 @@ class TestKernelForms:
     def test_floats_match_reference(self, bj, bj1, hy, hz):
         params = ModelParams(J=bj, J1=bj1, beta=1.0)
         assert ln2cosh(hy) == reference_ln2cosh(hy)
-        assert log_cosh_even(bj, hy) == reference_log_cosh_even(bj, hy)
         assert log_cosh_cross(bj1, hy, hz) == reference_log_cosh_cross(bj1, hy, hz)
-        assert effective_field(hy, params) == reference_effective_field(hy, params)
         assert level_log_factor(params, hy, hz) == reference_level_log_factor(bj, bj1, hy, hz)
         assert _level_log_factor(bj, bj1, hy, hz) == reference_level_log_factor(bj, bj1, hy, hz)
 
     def test_float_input_gives_numpy_float(self):
-        for value in (ln2cosh(0.3), log_cosh_even(0.1, 0.3), log_cosh_cross(0.1, 0.3, -0.2),
-                      effective_field(0.3, TWO_FIVE), level_log_factor(TWO_FIVE, 0.3, -0.2)):
+        for value in (ln2cosh(0.3), log_cosh_cross(0.1, 0.3, -0.2),
+                      level_log_factor(TWO_FIVE, 0.3, -0.2)):
             assert type(value) is np.float64
 
     @settings(max_examples=50, deadline=None)
@@ -192,9 +181,7 @@ class TestKernelForms:
         bj, bj1, hy, hz = kernel_draws(seed, (4, 1000))
         params = ModelParams(J=float(bj[0]), J1=float(bj1[0]), beta=1.0)
         assert np.array_equal(ln2cosh(hy), reference_ln2cosh(hy))
-        assert np.array_equal(log_cosh_even(bj, hy), reference_log_cosh_even(bj, hy))
         assert np.array_equal(log_cosh_cross(bj1, hy, hz), reference_log_cosh_cross(bj1, hy, hz))
-        assert np.array_equal(effective_field(hy, params), reference_effective_field(hy, params))
         assert np.array_equal(level_log_factor(params, hy, hz),
                               reference_level_log_factor(bj[0], bj1[0], hy, hz))
         assert np.array_equal(_level_log_factor(bj, bj1, hy, hz),
@@ -302,22 +289,6 @@ class TestLn2Cosh:
         assert ln2cosh(x) >= abs(x)
 
 
-class TestEvenKernel:
-    @settings(max_examples=200, deadline=None)
-    @given(bounded, bounded)
-    def test_even_in_both_arguments(self, b, x):
-        assert log_cosh_even(b, x) == pytest.approx(log_cosh_even(b, -x), abs=1e-12)
-        assert log_cosh_even(b, x) == pytest.approx(log_cosh_even(-b, x), abs=1e-12)
-
-    def test_collapse_at_zero_shift(self):
-        for x in (0.0, 0.3, -2.0):
-            assert log_cosh_even(0.0, x) == pytest.approx(0.5 * ln2cosh(x), rel=1e-14)
-
-    def test_value_at_zero(self):
-        for b in (0.0, 1.7):
-            assert log_cosh_even(b, 0.0) == pytest.approx(0.5 * ln2cosh(b), rel=1e-14)
-
-
 class TestCrossKernel:
     @settings(max_examples=200, deadline=None)
     @given(bounded, bounded, bounded)
@@ -334,44 +305,6 @@ class TestCrossKernel:
         assert log_cosh_cross(b, b, b) == pytest.approx(
             0.5 * (math.log(2.0) + ln2cosh(2.0 * b)), rel=1e-14
         )
-
-
-class TestEffectiveField:
-    def test_zero(self):
-        assert effective_field(0.0, TWO_FIVE) == 0.0
-
-    @settings(max_examples=200, deadline=None)
-    @given(bounded)
-    def test_odd(self, x):
-        assert effective_field(-x, TWO_FIVE) == pytest.approx(
-            -effective_field(x, TWO_FIVE), abs=1e-12
-        )
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.floats(-15, 15), st.floats(-5, 5))
-    def test_matches_atanh_form(self, x, bj):
-        # The naive atanh(tanh*tanh) reference loses precision when both
-        # arguments are large (its argument saturates toward 1), so one of
-        # them is kept moderate for a 1e-12 comparison; the large-large
-        # corner is covered below at the tolerance the reference supports.
-        params = ModelParams(J=bj, J1=0.5, beta=1.0)
-        expected = math.atanh(math.tanh(bj) * math.tanh(x))
-        assert effective_field(x, params) == pytest.approx(expected, abs=1e-12)
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.floats(5, 15), st.floats(5, 15))
-    def test_matches_atanh_form_large_arguments(self, x, bj):
-        params = ModelParams(J=bj, J1=0.5, beta=1.0)
-        expected = math.atanh(math.tanh(bj) * math.tanh(x))
-        # conditioning of the reference: ~eps / (1 - tanh(x)tanh(bj))
-        tol = max(1e-12, 4e-16 / (4.0 * math.exp(-2.0 * min(x, bj))))
-        assert effective_field(x, params) == pytest.approx(expected, abs=tol)
-
-    @settings(max_examples=200, deadline=None)
-    @given(bounded, bounded)
-    def test_bounded_by_inputs(self, x, bj):
-        params = ModelParams(J=bj, J1=0.5, beta=1.0)
-        assert abs(effective_field(x, params)) <= min(abs(x), abs(bj)) + 1e-12
 
 
 class TestPairLogWeights:

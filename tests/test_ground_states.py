@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbtree import exact_oracle
 from cbtree.field_recursion import ti_fixed_points
 from cbtree.ground_states import (
     exhaustive_lemma_check,
@@ -14,6 +13,7 @@ from cbtree.ground_states import (
 )
 from cbtree.model import ModelParams, SpinConfig, sufficient_stats, sufficient_stats_batch
 from cbtree.topology import boundary_sets, build_tree, connected_subsets
+from test_exact_oracle import reference_masses
 
 TWO_FIVE = ModelParams.from_thetas(5.0, 2.0)
 
@@ -77,8 +77,8 @@ class TestGroundStateScan:
     @given(depth=st.integers(0, 3), J=st.floats(-2.0, 2.0), J1=st.floats(-2.0, 2.0),
            betas=st.lists(st.floats(0.01, 60.0), min_size=1, max_size=8))
     def test_masses_are_the_per_beta_masses(self, depth, J, J1, betas):
-        # One pass over the axis gives each beta the masses of its own
-        # plus_minus_mass calls, the upper branch's and the lower branch's.
+        # One pass over the axis gives each beta its own per-point masses,
+        # the upper branch's and the lower branch's.
         betas = sorted(betas)
         tree = build_tree(depth, "full")
         try:
@@ -92,8 +92,8 @@ class TestGroundStateScan:
             if fps.regime != "three":
                 assert row.mass_plus is row.mass_minus is None
                 continue
-            assert row.mass_plus == exact_oracle.plus_minus_mass(tree, params, fps.h3)[0]
-            assert row.mass_minus == exact_oracle.plus_minus_mass(tree, params, fps.h1)[1]
+            assert row.mass_plus == reference_masses(tree, params, fps.h3)[0]
+            assert row.mass_minus == reference_masses(tree, params, fps.h1)[1]
 
 
 class TestExhaustiveLemmaCheck:

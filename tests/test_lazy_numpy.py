@@ -57,6 +57,8 @@ def test_import_loads_neither_numpy_nor_the_executor():
     (["--help"], 0),
     (["fixed-points", "--theta", "5", "--theta1", "2", "--bogus"], 2),
     (["fixed-points", "--J", "1e308", "--J1", "1", "--beta", "10"], 2),
+    (["fixed-points", "--J", "abc", "--J1", "1", "--beta", "1"], 2),
+    (["free-energy", "--J", "1", "--J1", "1"], 2),
 ])
 def test_numpy_free_commands_never_import_numpy(argv, code):
     out = run_python(_PROBE, *argv)
