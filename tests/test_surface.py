@@ -49,8 +49,8 @@ def profile(frame, event, arg):
         reached.add(frame.f_code)
 
 sys.setprofile(profile)
-with tempfile.TemporaryDirectory() as tmp:
-    for argv in CASES.values():
+for argv in CASES.values():
+    with tempfile.TemporaryDirectory() as tmp:
         run_case(argv, Path(tmp))
 sys.setprofile(None)
 
