@@ -289,6 +289,75 @@ class TestLn2Cosh:
         assert ln2cosh(x) >= abs(x)
 
 
+def even_kernel(shift, x):
+    """(1/4) ln[4 cosh(x - shift) cosh(x + shift)] from ``level_log_factor``.
+
+    With no sibling coupling the two children decouple; with J1 = shift and
+    both child fields at x each contributes twice this even kernel.
+    """
+    return 0.25 * level_log_factor(ModelParams(J=0.0, J1=shift, beta=1.0), x, x)
+
+
+def edge_field(x, bj):
+    """atanh(tanh(bj) * tanh(x)), the field transmitted through one edge.
+
+    ``child_to_parent`` with no sibling coupling, edge coupling bj, one child
+    at field x and the other at field 0, which transmits nothing.
+    """
+    return child_to_parent(ModelParams(J=0.0, J1=bj, beta=1.0), x, 0.0)
+
+
+class TestEvenKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(bounded, bounded)
+    def test_even_in_both_arguments(self, b, x):
+        assert even_kernel(b, x) == pytest.approx(even_kernel(b, -x), abs=1e-12)
+        assert even_kernel(b, x) == pytest.approx(even_kernel(-b, x), abs=1e-12)
+
+    def test_collapse_at_zero_shift(self):
+        for x in (0.0, 0.3, -2.0):
+            assert even_kernel(0.0, x) == pytest.approx(0.5 * ln2cosh(x), rel=1e-14)
+
+    def test_value_at_zero(self):
+        for b in (0.0, 1.7):
+            assert even_kernel(b, 0.0) == pytest.approx(0.5 * ln2cosh(b), rel=1e-14)
+
+
+class TestEffectiveField:
+    BJ = TWO_FIVE.beta * TWO_FIVE.J
+
+    def test_zero(self):
+        assert edge_field(0.0, self.BJ) == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(bounded)
+    def test_odd(self, x):
+        assert edge_field(-x, self.BJ) == pytest.approx(-edge_field(x, self.BJ), abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-15, 15), st.floats(-5, 5))
+    def test_matches_atanh_form(self, x, bj):
+        # The naive atanh(tanh*tanh) reference loses precision when both
+        # arguments are large (its argument saturates toward 1), so one of
+        # them is kept moderate for a 1e-12 comparison; the large-large
+        # corner is covered below at the tolerance the reference supports.
+        expected = math.atanh(math.tanh(bj) * math.tanh(x))
+        assert edge_field(x, bj) == pytest.approx(expected, abs=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(5, 15), st.floats(5, 15))
+    def test_matches_atanh_form_large_arguments(self, x, bj):
+        expected = math.atanh(math.tanh(bj) * math.tanh(x))
+        # conditioning of the reference: ~eps / (1 - tanh(x)tanh(bj))
+        tol = max(1e-12, 4e-16 / (4.0 * math.exp(-2.0 * min(x, bj))))
+        assert edge_field(x, bj) == pytest.approx(expected, abs=tol)
+
+    @settings(max_examples=200, deadline=None)
+    @given(bounded, bounded)
+    def test_bounded_by_inputs(self, x, bj):
+        assert abs(edge_field(x, bj)) <= min(abs(x), abs(bj)) + 1e-12
+
+
 class TestCrossKernel:
     @settings(max_examples=200, deadline=None)
     @given(bounded, bounded, bounded)
