@@ -1,14 +1,22 @@
-"""numpy imported on first use, so a command that never calls it never loads it."""
+"""Modules imported on first use, so a command that never calls one never loads it.
+
+numpy in every module, and in ``cli`` the library modules and
+``dataclasses``, are bound as ``LazyModule`` globals: importing ``cbtree.cli``
+then loads no library module, and a command loads only the modules it calls.
+"""
+
+import importlib
 
 
-class LazyNumpy:
-    """A module's ``np`` until its first attribute lookup, which imports numpy
-    and rebinds that global to it (idempotent, so threads may race on it)."""
+class LazyModule:
+    """The global ``name`` of ``namespace`` until its first attribute lookup,
+    which imports ``module`` and rebinds that global to it (idempotent, so
+    threads may race on it)."""
 
-    def __init__(self, namespace: dict):
-        self._namespace = namespace
+    def __init__(self, namespace: dict, name: str, module: str):
+        self._namespace, self._name, self._module = namespace, name, module
 
-    def __getattr__(self, name: str):
-        import numpy
-        self._namespace["np"] = numpy
-        return getattr(numpy, name)
+    def __getattr__(self, attr: str):
+        module = importlib.import_module(self._module)
+        self._namespace[self._name] = module
+        return getattr(module, attr)

@@ -17,6 +17,11 @@ commands themselves run on one thread; only the enumeration passes inside
 ``exact_oracle`` spread their blocks over ``CBTREE_THREADS`` workers, and
 those reduce in a fixed block order.
 
+Importing this module or building its parser loads no library module, no
+numpy and no ``dataclasses``: each is a ``_lazy.LazyModule`` global, bound
+to its module on first use, so a command loads only the modules it calls
+(``fixed-points`` loads ``model``, ``field_recursion`` and ``topology``).
+
 Exit codes: 0 success, 1 verification failure, 2 usage error (an input
 outside the range the arithmetic handles, or an output path that cannot be
 written, counts as one).
@@ -25,7 +30,6 @@ written, counts as one).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import itertools
 import math
@@ -33,33 +37,17 @@ import sys
 from collections.abc import Iterable, Iterator
 from json.encoder import encode_basestring_ascii
 
-from . import exact_oracle, ground_states
-from ._lazy import LazyNumpy
-from .free_energy import (
-    N_MAX,
-    _level_log_factor,
-    free_energy,
-    free_energy_betas,
-    log_partition_recursive,
-    zero_temperature_limit,
-)
-from .field_recursion import (
-    CURVE_POLE_TOL,
-    REGIME_THREE,
-    REGIMES,
-    _lse4_array,
-    _pair_log_weights,
-    _ti_fixed_points_checked,
-    critical_curve,
-    propagate_inward,
-    ti_fixed_points,
-    ti_fixed_points_betas,
-    ti_fixed_points_grid,
-)
-from .model import ModelParams
-from .topology import build_tree
+from ._lazy import LazyModule
 
-np = LazyNumpy(globals())
+# Bound on first use, so importing cli and building its parser load none of them.
+dataclasses = LazyModule(globals(), "dataclasses", "dataclasses")
+exact_oracle = LazyModule(globals(), "exact_oracle", "cbtree.exact_oracle")
+fe = LazyModule(globals(), "fe", "cbtree.free_energy")
+fr = LazyModule(globals(), "fr", "cbtree.field_recursion")
+ground_states = LazyModule(globals(), "ground_states", "cbtree.ground_states")
+model = LazyModule(globals(), "model", "cbtree.model")
+np = LazyModule(globals(), "np", "numpy")
+topology = LazyModule(globals(), "topology", "cbtree.topology")
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -72,13 +60,13 @@ class UsageError(Exception):
     pass
 
 
-def _point_params(args: argparse.Namespace) -> ModelParams:
+def _point_params(args: argparse.Namespace) -> model.ModelParams:
     coupling = [v is not None for v in (args.J, args.J1, args.beta)]
     theta_mode = [v is not None for v in (args.theta, args.theta1)]
     if all(coupling) and not any(theta_mode):
-        return ModelParams(J=args.J, J1=args.J1, beta=args.beta)
+        return model.ModelParams(J=args.J, J1=args.J1, beta=args.beta)
     if all(theta_mode) and not any(coupling):
-        return ModelParams.from_thetas(args.theta, args.theta1)
+        return model.ModelParams.from_thetas(args.theta, args.theta1)
     raise UsageError("give exactly one of (--J --J1 --beta) or (--theta --theta1)")
 
 
@@ -142,7 +130,6 @@ def _fields(obj) -> dict:
     return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
 
 
-@dataclasses.dataclass(frozen=True)
 class _Table:
     """Named columns and rows of cells; CSV text chunks, or JSON records on demand.
 
@@ -151,10 +138,9 @@ class _Table:
     of one ``_cell`` per cell of ``rows``.
     """
 
-    columns: list[str]
-    rows: Iterable
-    comments: tuple[str, ...] = ()
-    lines: Iterable[str] | None = None
+    def __init__(self, columns: list[str], rows: Iterable, comments: tuple[str, ...] = (),
+                 lines: Iterable[str] | None = None):
+        self.columns, self.rows, self.comments, self.lines = columns, rows, comments, lines
 
     @classmethod
     def of_record(cls, record: dict) -> "_Table":
@@ -168,14 +154,12 @@ class _Table:
             yield "".join(",".join(map(_cell, row)) + "\n" for row in self.rows)
 
 
-@dataclasses.dataclass(frozen=True)
 class _Result:
     """What a command produced: its JSON payload, its CSV tables as (path,
     table) pairs, and its exit code."""
 
-    payload: dict
-    tables: list
-    code: int = EXIT_OK
+    def __init__(self, payload: dict, tables: list, code: int = EXIT_OK):
+        self.payload, self.tables, self.code = payload, tables, code
 
 
 def _json_default(obj):
@@ -237,7 +221,7 @@ def _emit(args: argparse.Namespace, result: _Result) -> int:
 
 def cmd_fixed_points(args: argparse.Namespace) -> _Result:
     params = _point_params(args)
-    fps, (residual_u1, _, residual_u3) = _ti_fixed_points_checked(params)
+    fps, (residual_u1, _, residual_u3) = fr._ti_fixed_points_checked(params)
     row = {
         **_fields(params),
         "theta": params.theta_exp,
@@ -254,7 +238,7 @@ def cmd_fixed_points(args: argparse.Namespace) -> _Result:
 def _grid_rows(theta1s, thetas, regime, u1, u3):
     """Phase-diagram row tuples, theta1-major; the rows share one float per axis value."""
     for t1, tags, a, b in zip(theta1s, regime, u1, u3):
-        yield from zip(itertools.repeat(t1), thetas, map(REGIMES.__getitem__, tags), a, b)
+        yield from zip(itertools.repeat(t1), thetas, map(fr.REGIMES.__getitem__, tags), a, b)
 
 
 def _grid_lines(theta1s, thetas, regime, u1, u3):
@@ -266,7 +250,7 @@ def _grid_lines(theta1s, thetas, regime, u1, u3):
         t1_cell = _fmt(t1)
         template = t1_cell + t1_cell.join(tails)
         yield template % tuple(itertools.chain.from_iterable(
-            zip(map(REGIMES.__getitem__, tags), a, b)))
+            zip(map(fr.REGIMES.__getitem__, tags), a, b)))
 
 
 def cmd_phase_diagram(args: argparse.Namespace) -> _Result:
@@ -280,18 +264,18 @@ def cmd_phase_diagram(args: argparse.Namespace) -> _Result:
     if curve_out is None and args.out not in (None, "-"):
         curve_out = args.out + ".curve"
 
-    regime, u1, u3 = ti_fixed_points_grid(theta1_grid, theta_grid)
+    regime, u1, u3 = fr.ti_fixed_points_grid(theta1_grid, theta_grid)
     cells = (theta1_grid.tolist(), theta_grid.tolist(), regime.tolist(), u1.tolist(), u3.tolist())
 
     pole = math.sqrt(3.0)
-    curve_points = [float(t1) for t1 in theta1_grid if t1 > pole + CURVE_POLE_TOL]
+    curve_points = [float(t1) for t1 in theta1_grid if t1 > pole + fr.CURVE_POLE_TOL]
     skipped = len(theta1_grid) - len(curve_points)
     if skipped:
         print(f"warning: skipped {skipped} theta1 grid points at or below the "
               f"sqrt(3) pole of the critical curve", file=sys.stderr)
     grid = _Table(["theta1", "theta", "regime", "u1", "u3"], _grid_rows(*cells),
                   lines=_grid_lines(*cells))
-    curve = _Table(["theta1", "theta_c", "j1_beta", "j_beta"], critical_curve(curve_points))
+    curve = _Table(["theta1", "theta_c", "j1_beta", "j_beta"], fr.critical_curve(curve_points))
     return _Result({"rows": grid, "curve": curve}, [(args.out, grid), (curve_out, curve)])
 
 
@@ -300,10 +284,11 @@ def cmd_free_energy(args: argparse.Namespace) -> _Result:
         raise UsageError("--experimental-closed-form attaches the asymptote to the JSON "
                          "document; it needs --format json")
     params = _point_params(args)
-    rep = free_energy(params, branch=args.branch, n_max=args.n_max)
+    n_max = fe.N_MAX if args.n_max is None else args.n_max
+    rep = fe.free_energy(params, branch=args.branch, n_max=n_max)
     payload = {"params": _fields(params), **_fields(rep)}
     if args.experimental_closed_form:
-        payload["asymptote"] = _fields(zero_temperature_limit(params.J, params.J1))
+        payload["asymptote"] = _fields(fe.zero_temperature_limit(params.J, params.J1))
     if args.fmt == "json":
         return _Result(payload, [])
     table = _Table(
@@ -331,17 +316,17 @@ _SWEEP_COLUMNS = ["beta", "regime", "u1", "u3", "F_u3", "F_u1", "F_sym_check",
 
 def cmd_beta_sweep(args: argparse.Namespace) -> _Result:
     betas, params, header = _beta_scan(args)
-    tree = build_tree(args.depth, "full")  # refuses a depth outside 0..DEPTH_CAP
+    tree = topology.build_tree(args.depth, "full")  # refuses a depth outside 0..DEPTH_CAP
     if args.depth > exact_oracle.FULL_ENUM_DEPTH_CAP:
         tree = None
         print(f"warning: depth {args.depth} beyond the enumeration cap; "
               f"mass_plus column left empty", file=sys.stderr)
 
-    regime, u1, u3 = ti_fixed_points_betas(args.J, args.J1, betas)
+    regime, u1, u3 = fr.ti_fixed_points_betas(args.J, args.J1, betas)
     # F is elementwise in its points, so the u3 rows and the u1 rows share one call.
-    f3, f1 = free_energy_betas(args.J, args.J1, np.tile(betas, 2),
-                               np.concatenate([u3, u1])).reshape(2, -1)
-    three = np.flatnonzero(regime == REGIMES.index(REGIME_THREE))
+    f3, f1 = fe.free_energy_betas(args.J, args.J1, np.tile(betas, 2),
+                                  np.concatenate([u3, u1])).reshape(2, -1)
+    three = np.flatnonzero(regime == fr.REGIMES.index(fr.REGIME_THREE))
     mass_plus = {}
     if tree is not None and three.size:
         h3 = [0.5 * math.log(u) for u in u3[three].tolist()]
@@ -350,7 +335,7 @@ def cmd_beta_sweep(args: argparse.Namespace) -> _Result:
     rows = []
     for k, (beta, tag, u1_b, u3_b, f3_b, f1_b) in enumerate(zip(
             betas.tolist(), regime.tolist(), u1.tolist(), u3.tolist(), f3.tolist(), f1.tolist())):
-        rows.append((beta, REGIMES[tag], u1_b, u3_b, f3_b, f1_b, abs(f3_b - f1_b),
+        rows.append((beta, fr.REGIMES[tag], u1_b, u3_b, f3_b, f1_b, abs(f3_b - f1_b),
                      ground_states.root_magnetization(u3_b), mass_plus.get(k)))
     table = _Table(_SWEEP_COLUMNS, rows, (header, " ".join(_SWEEP_COLUMNS)))
     return _Result({"params": params, "rows": table}, [(args.out, table)])
@@ -376,19 +361,19 @@ def cmd_lemma_check(args: argparse.Namespace) -> _Result:
 # verify
 
 
-def _in_regime_params(rng) -> ModelParams:
+def _in_regime_params(rng) -> model.ModelParams:
     theta1 = float(rng.uniform(1.9, 3.2))
     theta_c = 2.0 * theta1 / (theta1 * theta1 - 3.0)
     theta = theta_c + float(rng.uniform(0.5, 3.0))
-    return ModelParams.from_thetas(theta, theta1)
+    return model.ModelParams.from_thetas(theta, theta1)
 
 
 def _level_factor_errors(rng, draws):
     bj, bj1 = rng.uniform(-10, 10, (2, draws))
     hy, hz = rng.uniform(-10, 10, (2, draws))
     # beta = 1: beta*J is J itself and 2*beta*J1 is 2*J1.
-    levels = _level_log_factor(bj, bj1, hy, hz)
-    w_up, w_dn = _pair_log_weights(2.0 * bj1, bj, hy, hz, _lse4_array)
+    levels = fe._level_log_factor(bj, bj1, hy, hz)
+    w_up, w_dn = fr._pair_log_weights(2.0 * bj1, bj, hy, hz, fr._lse4_array)
     return np.abs(np.exp(levels - 0.5 * (w_up + w_dn)) - 1.0).tolist()
 
 
@@ -398,35 +383,35 @@ def _theta_form_errors(rng, draws):
     uy, uz = np.exp(2.0 * hy), np.exp(2.0 * hz)
     num = th1 * th1 * th * uy * uz + th1 * (uy + uz) + th
     den = th * uy * uz + th1 * (uy + uz) + th1 * th1 * th
-    w_up, w_dn = _pair_log_weights(2.0 * bj1, bj, hy, hz, _lse4_array)
+    w_up, w_dn = fr._pair_log_weights(2.0 * bj1, bj, hy, hz, fr._lse4_array)
     return np.abs(0.5 * np.log(num / den) - 0.5 * (w_up - w_dn)).tolist()
 
 
 def _recursion_errors(rng, draws):
     for depth in (2, 2, 3)[:draws]:
         params = _in_regime_params(rng)
-        tree = build_tree(depth, "full")
-        h3 = ti_fixed_points(params).h3
+        tree = topology.build_tree(depth, "full")
+        h3 = fr.ti_fixed_points(params).h3
         # The enumerated table, not the tree DP that log_partition reads.
         ln_oracle = exact_oracle.enumerated_count_table(tree).log_partition(params, h3)
-        ln_rec = log_partition_recursive(params, propagate_inward(tree, params, h3))
+        ln_rec = fe.log_partition_recursive(params, fr.propagate_inward(tree, params, h3))
         yield abs(ln_rec - ln_oracle) / abs(ln_oracle)
 
 
 def _consistency_errors(rng, draws):
-    tree = build_tree(2, "full")
+    tree = topology.build_tree(2, "full")
     for _ in range(draws):
         params = _in_regime_params(rng)
         boundary = rng.uniform(-1.0, 1.0, tree.level_size(2))
-        yield exact_oracle.check_consistency(params, propagate_inward(tree, params, boundary))
+        yield exact_oracle.check_consistency(params, fr.propagate_inward(tree, params, boundary))
 
 
 def _free_energy_symmetry_errors(rng, draws):
     params = [_in_regime_params(rng) for _ in range(draws)]
-    fps = [ti_fixed_points(p) for p in params]
+    fps = [fr.ti_fixed_points(p) for p in params]
     J, J1, beta = np.array([(p.J, p.J1, p.beta) for p in params]).T
-    f3 = free_energy_betas(J, J1, beta, [f.u3 for f in fps])
-    f1 = free_energy_betas(J, J1, beta, [f.u1 for f in fps])
+    f3 = fe.free_energy_betas(J, J1, beta, [f.u3 for f in fps])
+    f1 = fe.free_energy_betas(J, J1, beta, [f.u1 for f in fps])
     return np.abs(f3 - f1).tolist()
 
 
@@ -515,7 +500,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p = sub.add_parser("free-energy", help="free-energy report for one branch")
     add_common(p, point=_NUMERIC_OPTIONS)
     p.add_argument("--branch", choices=("u1", "u2", "u3"), default="u3")
-    p.add_argument("--n-max", type=int, default=N_MAX)
+    p.add_argument("--n-max", type=int, default=None)  # free_energy.N_MAX at run time
     p.add_argument("--experimental-closed-form", action="store_true",
                    help="attach the experimental zero-temperature closed forms")
 

@@ -45,13 +45,13 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 from . import model
-from ._lazy import LazyNumpy
+from ._lazy import LazyModule
 from .field_recursion import FieldAssignment, _boundary_array, _lse
 from .model import ModelParams, SpinConfig
 from .parallel import parallel_map
 from .topology import TreeIndex, build_tree, edge_pairs, sibling_pairs
 
-np = LazyNumpy(globals())
+np = LazyModule(globals(), "np", "numpy")
 
 FULL_ENUM_DEPTH_CAP = 3
 HALF_ENUM_DEPTH_CAP = 4

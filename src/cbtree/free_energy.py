@@ -29,7 +29,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from ._lazy import LazyNumpy
+from ._lazy import LazyModule
 from .field_recursion import (
     REGIME_THREE,
     FieldAssignment,
@@ -39,7 +39,7 @@ from .field_recursion import (
 )
 from .model import ModelParams
 
-np = LazyNumpy(globals())
+np = LazyModule(globals(), "np", "numpy")
 
 
 def ln2cosh(x):

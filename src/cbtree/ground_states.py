@@ -16,12 +16,12 @@ import math
 from dataclasses import dataclass
 
 from . import exact_oracle
-from ._lazy import LazyNumpy
+from ._lazy import LazyModule
 from .field_recursion import REGIME_THREE, REGIMES, ti_fixed_points_betas
 from .model import stat_maxima
 from .topology import boundary_census, build_tree
 
-np = LazyNumpy(globals())
+np = LazyModule(globals(), "np", "numpy")
 
 # Non-decreasing mass along the in-regime beta tail, up to this slack.
 MONOTONE_SLACK = 1e-9

@@ -22,10 +22,10 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from ._lazy import LazyNumpy
+from ._lazy import LazyModule
 from .topology import TreeIndex, edge_pairs, sibling_pairs
 
-np = LazyNumpy(globals())
+np = LazyModule(globals(), "np", "numpy")
 
 
 @dataclass(frozen=True)

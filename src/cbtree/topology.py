@@ -27,9 +27,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from ._lazy import LazyNumpy
+from ._lazy import LazyModule
 
-np = LazyNumpy(globals())
+np = LazyModule(globals(), "np", "numpy")
 
 # Trees are only meant for desk-scale exact work; depth 12 full already has
 # 12286 vertices.

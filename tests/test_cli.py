@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import json
 import math
+import types
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbtree import cli, exact_oracle, field_recursion, ground_states
+from cbtree import free_energy as free_energy_module
 from cbtree.field_recursion import REGIME_THREE, child_to_parent, ti_fixed_points
 from cbtree.free_energy import free_energy, level_log_factor, pair_log_weights
 from cbtree.cli import main, run_verification
@@ -18,6 +20,13 @@ from cbtree.topology import build_tree
 from test_exact_oracle import reference_masses
 
 TWO_FIVE_ARGS = ["--theta", "5", "--theta1", "2"]
+
+
+def overriding(module, **attrs):
+    """A stand-in for ``module`` in one of cli's module bindings, with
+    ``attrs`` replaced: cli reads them, while every other caller still
+    reads the module's own."""
+    return types.SimpleNamespace(**{**vars(module), **attrs})
 
 
 def read_csv(path):
@@ -215,8 +224,8 @@ class TestPhaseDiagramCommand:
             return ti_fixed_points(params)
 
         monkeypatch.setattr(ModelParams, "from_thetas", classmethod(counted_from_thetas))
+        # cli reads it through its module binding, so this patch counts cli's calls too.
         monkeypatch.setattr(field_recursion, "ti_fixed_points", counted_ti_fixed_points)
-        monkeypatch.setattr(cli, "ti_fixed_points", counted_ti_fixed_points)
         assert main(["phase-diagram", "--grid", "theta1=1:4:20", "--grid", "theta=0.5:8:30"]) == 0
         # One params object per axis value; no scalar solve on a clean grid.
         assert calls == {"from_thetas": 20 + 30, "ti_fixed_points": 0}
@@ -336,20 +345,27 @@ def _u1_shifted(route, eps):
     return shifted
 
 
-# (check, owner and name of one of its routes, perturbation, size).  A
+# (check, cli's binding of the module of one of its routes, that module, the
+# route's name, perturbation, size); the perturbed route is what cli reads
+# through that binding, and the module itself is left as it is.  A
 # FieldAssignment refuses NaN fields, so the NaN case of the consistency
 # check makes the enumeration side return NaN instead.
 PERTURBED_ROUTES = [
-    ("level_factor_identity", cli, "_level_log_factor", _shifted, 1e-6),
-    ("theta_form_match", cli, "_pair_log_weights", _up_shifted, 1e-9),
-    ("recursion_vs_enumeration", cli, "log_partition_recursive", _scaled, 1e-8),
-    ("consistency_propagated", cli, "propagate_inward", _interior_shifted, 1e-6),
-    ("free_energy_symmetry", cli, "free_energy_betas", _u1_shifted, 1e-6),
-    ("level_factor_identity", cli, "_level_log_factor", _shifted, math.nan),
-    ("theta_form_match", cli, "_pair_log_weights", _up_shifted, math.nan),
-    ("recursion_vs_enumeration", cli, "log_partition_recursive", _scaled, math.nan),
-    ("consistency_propagated", exact_oracle, "check_consistency", _shifted, math.nan),
-    ("free_energy_symmetry", cli, "free_energy_betas", _u1_shifted, math.nan),
+    ("level_factor_identity", "fe", free_energy_module, "_level_log_factor", _shifted, 1e-6),
+    ("theta_form_match", "fr", field_recursion, "_pair_log_weights", _up_shifted, 1e-9),
+    ("recursion_vs_enumeration", "fe", free_energy_module, "log_partition_recursive", _scaled,
+     1e-8),
+    ("consistency_propagated", "fr", field_recursion, "propagate_inward", _interior_shifted,
+     1e-6),
+    ("free_energy_symmetry", "fe", free_energy_module, "free_energy_betas", _u1_shifted, 1e-6),
+    ("level_factor_identity", "fe", free_energy_module, "_level_log_factor", _shifted, math.nan),
+    ("theta_form_match", "fr", field_recursion, "_pair_log_weights", _up_shifted, math.nan),
+    ("recursion_vs_enumeration", "fe", free_energy_module, "log_partition_recursive", _scaled,
+     math.nan),
+    ("consistency_propagated", "exact_oracle", exact_oracle, "check_consistency", _shifted,
+     math.nan),
+    ("free_energy_symmetry", "fe", free_energy_module, "free_energy_betas", _u1_shifted,
+     math.nan),
 ]
 
 
@@ -454,13 +470,13 @@ class TestVerifyCommand:
         # One (draws, 4) array split into columns reads the doubles that a
         # (2,) call for the couplings and a (2,) call for the fields per draw read.
         seen = []
-        core = cli._pair_log_weights
+        core = field_recursion._pair_log_weights
 
         def spy(a1, aj, hy, hz, lse):
             seen.append((0.5 * a1, aj, hy, hz))  # a1 = 2*beta*J1 with beta = 1
             return core(a1, aj, hy, hz, lse)
 
-        monkeypatch.setattr(cli, "_pair_log_weights", spy)
+        monkeypatch.setattr(cli, "fr", overriding(field_recursion, _pair_log_weights=spy))
         cli._theta_form_errors(np.random.default_rng(5), 400)
         [(bj1, bj, hy, hz)] = seen
         rng = np.random.default_rng(5)
@@ -468,11 +484,12 @@ class TestVerifyCommand:
             assert (bj[k], bj1[k]) == tuple(rng.uniform(-5, 5, 2))
             assert (hy[k], hz[k]) == tuple(rng.uniform(-5, 5, 2))
 
-    @pytest.mark.parametrize("name,owner,attr,perturb,eps", PERTURBED_ROUTES,
-                             ids=[f"{r[0]}-{r[4]}" for r in PERTURBED_ROUTES])
-    def test_each_check_can_fail(self, name, owner, attr, perturb, eps, monkeypatch,
+    @pytest.mark.parametrize("name,binding,owner,attr,perturb,eps", PERTURBED_ROUTES,
+                             ids=[f"{r[0]}-{r[5]}" for r in PERTURBED_ROUTES])
+    def test_each_check_can_fail(self, name, binding, owner, attr, perturb, eps, monkeypatch,
                                  tmp_path, capsys):
-        monkeypatch.setattr(owner, attr, perturb(getattr(owner, attr), eps))
+        perturbed = perturb(getattr(owner, attr), eps)
+        monkeypatch.setattr(cli, binding, overriding(owner, **{attr: perturbed}))
         out = tmp_path / "verify.json"
         assert main(["verify", "--out", str(out)]) == 1
         err = capsys.readouterr().err
@@ -580,7 +597,8 @@ class TestBetaSweepCommand:
         def unreachable(*args):
             raise AssertionError("solved")
 
-        monkeypatch.setattr(cli, "ti_fixed_points_betas", unreachable)
+        monkeypatch.setattr(cli, "fr",
+                            overriding(field_recursion, ti_fixed_points_betas=unreachable))
         assert main(["beta-sweep", "--J", "1", "--J1", "1", "--grid", "beta=1:2:2",
                      "--depth", str(depth)]) == 2
         with pytest.raises(ValueError) as expected:
@@ -668,8 +686,8 @@ class TestFreeEnergyCommand:
         def unreachable(*args, **kwargs):
             raise AssertionError("solved before the refusal")
 
-        monkeypatch.setattr(cli, "free_energy", unreachable)
-        monkeypatch.setattr(cli, "zero_temperature_limit", unreachable)
+        monkeypatch.setattr(cli, "fe", overriding(free_energy_module, free_energy=unreachable,
+                                                  zero_temperature_limit=unreachable))
         assert main(["free-energy", "--J", "1", "--J1", "1", "--beta", "20",
                      "--experimental-closed-form"]) == 2
         assert "--experimental-closed-form" in capsys.readouterr().err

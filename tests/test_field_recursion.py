@@ -1,5 +1,7 @@
 import math
+import sys
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -125,6 +127,48 @@ class TestChildToParent:
         assert all(type(w) is float for w in scalar)
         for w, wa in zip(scalar, array):
             assert abs(w - float(wa[0])) <= 4 * math.ulp(scale)
+
+
+def decimal_pair_log_weights(bj, bj1, hy, hz):
+    """The two conditional log sums of ``pair_log_weights`` in 60-digit
+    decimal arithmetic at beta = 1, from the exact values of the floats."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        a1, aj, y, z = 2 * Decimal(bj1), Decimal(bj), Decimal(hy), Decimal(hz)
+
+        def lse(*terms):
+            top = max(terms)
+            return top + sum((t - top).exp() for t in terms).ln()
+
+        mixed = (-aj - y + z, -aj + y - z)
+        return (lse(a1 + aj + y + z, *mixed, -a1 + aj - y - z),
+                lse(-a1 + aj + y + z, *mixed, a1 + aj - y - z))
+
+
+class TestAbsoluteErrorContract:
+    """The documented bound: each weight and the transmitted field lie within
+    2*eps*S of the exact value, S = ln 4 + |2bJ1| + |bJ| + |h_y| + |h_z|."""
+
+    @pytest.mark.parametrize("low, high", [(1e-8, 2e4), (1e-2, 1e2)])
+    def test_within_bound_of_decimal_reference(self, low, high):
+        # |bJ|, |bJ1|, |h_y| and |h_z| log-uniform over [low, high], random signs.
+        rng = np.random.default_rng(2027)
+        draws = np.exp(rng.uniform(math.log(low), math.log(high), (1000, 4)))
+        draws *= rng.choice([-1.0, 1.0], (1000, 4))
+        worst = 0.0
+        for j, j1, y, z in draws.tolist():
+            params = ModelParams(J=j, J1=j1, beta=1.0)
+            bound = 2 * sys.float_info.epsilon * (
+                math.log(4) + abs(2 * j1) + abs(j) + abs(y) + abs(z))
+            w_up, w_dn = decimal_pair_log_weights(j, j1, y, z)
+            exact = (w_up - w_dn) / 2
+            a_up, a_dn = pair_log_weights(params, np.array([y]), np.array([z]))
+            got = [*pair_log_weights(params, y, z), float(a_up[0]), float(a_dn[0]),
+                   child_to_parent(params, y, z),
+                   float(child_to_parent(params, np.array([y]), np.array([z]))[0])]
+            for value, ref in zip(got, [w_up, w_dn, w_up, w_dn, exact, exact]):
+                worst = max(worst, float(abs(Decimal(value) - ref)) / bound)
+        assert worst <= 1.0
 
 
 class TestPropagateInward:

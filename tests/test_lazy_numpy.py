@@ -67,10 +67,12 @@ def test_numpy_free_commands_never_import_numpy(argv, code):
 
 def test_first_use_rebinds_each_module_np_to_numpy():
     # A command rebinds the np of the modules it used; any other module's
-    # np rebinds on its own first attribute lookup.
+    # np rebinds on its own first attribute lookup.  A command loads only the
+    # modules it calls, so the others are imported here.
     touch_all = f"""
+import importlib
 for name in {LAZY_MODULES!r}:
-    assert sys.modules[name].np.float64 is sys.modules["numpy"].float64
+    assert importlib.import_module(name).np.float64 is sys.modules["numpy"].float64
 out["touched"] = rebound()
 """
     out = run_python(_PROBE + touch_all, "phase-diagram", "--grid", "theta1=1.8:4:20",
