@@ -1,8 +1,9 @@
 """Modules imported on first use, so a command that never calls one never loads it.
 
-numpy in every module, and in ``cli`` the library modules and
-``dataclasses``, are bound as ``LazyModule`` globals: importing ``cbtree.cli``
-then loads no library module, and a command loads only the modules it calls.
+numpy in every module, ``topology`` in ``model``, and in ``cli`` the library
+modules and ``dataclasses``, are bound as ``LazyModule`` globals: importing
+``cbtree.cli`` then loads no library module, and a command loads only the
+modules it calls.
 """
 
 import importlib

@@ -12,15 +12,14 @@ JSON is written.
 Outputs are byte-reproducible: a CSV cell prints a float with 17
 significant digits, a JSON document as its shortest round-trip ``repr``;
 newlines are always ``\\n``, grid rows are computed and written in
-grid order, and the ``verify`` report is a pure function of its seed.  The
-commands themselves run on one thread; only the enumeration passes inside
-``exact_oracle`` spread their blocks over ``CBTREE_THREADS`` workers, and
-those reduce in a fixed block order.
+grid order, and the ``verify`` report is a pure function of its seed.  Every
+command runs on one thread: ``CBTREE_THREADS`` reaches only
+``exact_oracle._log_partition_enumerated``, which no command calls.
 
 Importing this module or building its parser loads no library module, no
 numpy and no ``dataclasses``: each is a ``_lazy.LazyModule`` global, bound
 to its module on first use, so a command loads only the modules it calls
-(``fixed-points`` loads ``model``, ``field_recursion`` and ``topology``).
+(``fixed-points`` loads ``model`` and ``field_recursion``).
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (an input
 outside the range the arithmetic handles, or an output path that cannot be

@@ -13,10 +13,12 @@ with the boundary field h living on the outermost level only.  A field
 argument h is a scalar, a sequence over the boundary in id order or a
 ``FieldAssignment`` on the same tree (its outermost level).  All
 probability work happens in log space; log weights are combined by a block
-log-sum-exp with fixed block boundaries, so results are independent of the
-worker-thread count.  These block passes are the only work in the package
-spread over threads (``parallel_map``, one block per item); everything else
-is too small per item for a thread to pay for itself.
+log-sum-exp with fixed block boundaries.  The one pass in the package spread
+over ``CBTREE_THREADS`` workers is ``_log_partition_enumerated``, the
+per-configuration log-sum-exp behind ``log_partition`` with a non-constant
+field, ``measure_prob`` and ``marginal_prob`` (``parallel_map``, one block
+per item); it reduces in block order, so results are independent of the
+worker-thread count.  Everything else runs on the calling thread.
 
 For a constant boundary field h the log weight is
 beta*J*A + beta*J1*B + h*C_boundary, whose integer statistics do not depend
@@ -26,8 +28,8 @@ for the life of the process (built on first use under a lock, so that
 concurrent first callers build it once).  It is built without touching a
 configuration: all subtrees on one level are equal, so a DP from the
 boundary inwards convolves the bin counts of a vertex's children, per spin
-of the vertex.  ``enumerated_count_table`` builds the same table by one
-block-wise pass over all configurations and is its oracle; ``verify``
+of the vertex.  ``enumerated_count_table`` builds the same table by binning
+every configuration from its own spins and is its oracle; ``verify``
 reads its recursion check from that one.  ``log_partition`` with a
 constant field is then a log-sum-exp over the bins (1340 at full depth 3)
 instead of over 2**22 configurations, and ``plus_minus_masses`` does the
@@ -136,18 +138,6 @@ def _lse_rows(w: np.ndarray) -> np.ndarray:
     return m + np.log(np.sum(np.exp(w, out=w), axis=1))
 
 
-def _count_block(tree: TreeIndex, shape: tuple[int, int, int], rng) -> np.ndarray:
-    lo, hi = rng
-    bits = model.spin_bits(tree, np.arange(lo, hi, dtype=np.int64))
-    key, b_neq = model.unequal_counts(tree, bits)
-    key *= shape[1]
-    key += b_neq
-    key *= shape[2]
-    for x in tree.boundary:
-        key += bits[x]
-    return np.bincount(key, minlength=shape[0] * shape[1] * shape[2])
-
-
 def _join_children(sub: list[np.ndarray], k: int, da: int, db: int) -> list[np.ndarray]:
     """Flat bin counts of the subtree of a vertex with ``k`` children, per
     spin s of the vertex (0 minus, 1 plus), from ``sub[t]``, those of one
@@ -215,10 +205,44 @@ def _build_count_table(tree: TreeIndex) -> CountTable:
 
 @lru_cache(maxsize=None)
 def _enumerate_count_table(tree: TreeIndex) -> CountTable:
+    # Ids lo .. lo + 2**k - 1, with lo a multiple of 2**k, run the k low
+    # spins over every pattern and hold each higher spin at its bit of lo.
+    # Each id's bin index is a sum over its own spins: step*(s_y ^ s_z) per
+    # pair y < z (step da for sibling pairs, db for edges) plus its boundary
+    # plus spins.  Pairs and boundary spins among the low spins add the same
+    # array to every block, summed once; a pair of high spins adds a
+    # constant; a pair with y low and z high adds step*(low[y] ^ bit z),
+    # which is step*bit z + step*(1 - 2*bit z)*low[y], gathered per y.
     shape = _table_shape(tree)
-    partials = parallel_map(lambda rng: _count_block(tree, shape, rng),
-                            _blocks(1 << tree.n_vertices))
-    return _table(np.sum(partials, axis=0).reshape(shape))
+    n = tree.n_vertices
+    k = min(_BLOCK.bit_length() - 1, n)
+    ids = np.arange(1 << k, dtype=np.int64)
+    low = [((ids >> v) & 1).astype(np.int8) for v in range(k)]
+    fixed = np.zeros(1 << k, dtype=np.int64)
+    mixed, high = [], []
+    for step, pairs in ((shape[1] * shape[2], sibling_pairs(tree)), (shape[2], edge_pairs(tree))):
+        for y, z in pairs:
+            if z < k:
+                fixed += np.int64(step) * (low[y] ^ low[z])
+            else:
+                (mixed if y < k else high).append((y, z, step))
+    for x in tree.boundary:
+        if x < k:
+            fixed += low[x]
+    total = np.zeros(math.prod(shape), dtype=np.int64)
+    for lo in range(0, 1 << n, 1 << k):
+        bit = [(lo >> v) & 1 for v in range(n)]
+        const = sum(step * (bit[y] ^ bit[z]) for y, z, step in high)
+        const += sum(bit[x] for x in tree.boundary if x >= k)
+        coef = dict.fromkeys((y for y, _, _ in mixed), 0)
+        for y, z, step in mixed:
+            const += step * bit[z]
+            coef[y] += step * (1 - 2 * bit[z])
+        key = fixed + const
+        for y, c in coef.items():
+            key += np.int64(c) * low[y]
+        total += np.bincount(key, minlength=total.size)
+    return _table(total.reshape(shape))
 
 
 _TABLE_LOCK = threading.Lock()
@@ -239,9 +263,11 @@ def count_table(tree: TreeIndex) -> CountTable:
 def enumerated_count_table(tree: TreeIndex) -> CountTable:
     """``count_table`` built by binning every configuration instead.
 
-    One block-wise enumeration pass over all 2**n configurations, spread
-    over threads and cached per tree under the same lock; equal to
-    ``count_table`` array for array.
+    One pass over all 2**n configurations in blocks of ``_BLOCK`` ids, each
+    binned from its own spins into one running total on the calling thread
+    (``CBTREE_THREADS`` reaches only ``_log_partition_enumerated``), and
+    cached per tree under the same lock; equal to ``count_table`` array for
+    array.
     """
     _check_enum_cap(tree)
     with _TABLE_LOCK:

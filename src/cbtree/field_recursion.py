@@ -34,7 +34,6 @@ from dataclasses import dataclass
 
 from ._lazy import LazyModule
 from .model import ModelParams
-from .topology import TreeIndex
 
 np = LazyModule(globals(), "np", "numpy")
 

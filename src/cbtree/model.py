@@ -23,9 +23,9 @@ import math
 from dataclasses import dataclass
 
 from ._lazy import LazyModule
-from .topology import TreeIndex, edge_pairs, sibling_pairs
 
 np = LazyModule(globals(), "np", "numpy")
+topology = LazyModule(globals(), "topology", "cbtree.topology")
 
 
 @dataclass(frozen=True)
@@ -125,8 +125,8 @@ class SpinConfig:
 
 def sufficient_stats(tree: TreeIndex, config: SpinConfig) -> tuple[int, int, int]:
     """Exact integer (A, B, C) for one configuration."""
-    a = sum(config.spin(y) * config.spin(z) for y, z in sibling_pairs(tree))
-    b = sum(config.spin(x) * config.spin(y) for x, y in edge_pairs(tree))
+    a = sum(config.spin(y) * config.spin(z) for y, z in topology.sibling_pairs(tree))
+    b = sum(config.spin(x) * config.spin(y) for x, y in topology.edge_pairs(tree))
     c = sum(config.spin(v) for v in range(tree.n_vertices))
     return a, b, c
 
@@ -137,20 +137,6 @@ def spin_bits(tree: TreeIndex, configs) -> list[np.ndarray]:
     return [((cfg >> v) & 1).astype(np.int8) for v in range(tree.n_vertices)]
 
 
-def unequal_counts(tree: TreeIndex, bits) -> tuple[np.ndarray, np.ndarray]:
-    """Per-configuration int32 counts of unequal sibling pairs and unequal edges.
-
-    A = len(sibling_pairs) - 2 * (first count), B = len(edge_pairs) - 2 * (second).
-    """
-    a_neq = np.zeros(bits[0].shape, dtype=np.int32)
-    for y, z in sibling_pairs(tree):
-        a_neq += bits[y] ^ bits[z]
-    b_neq = np.zeros(bits[0].shape, dtype=np.int32)
-    for x, y in edge_pairs(tree):
-        b_neq += bits[x] ^ bits[y]
-    return a_neq, b_neq
-
-
 def sufficient_stats_batch(tree: TreeIndex, configs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized (A, B, C) over an int64 array of bit-packed configurations.
 
@@ -158,13 +144,16 @@ def sufficient_stats_batch(tree: TreeIndex, configs) -> tuple[np.ndarray, np.nda
     result is identical to per-config ``sufficient_stats``.
     """
     bits = spin_bits(tree, configs)
-    a_neq, b_neq = unequal_counts(tree, bits)
-    ones = np.zeros(a_neq.shape, dtype=np.int32)
+    a_neq, b_neq, ones = (np.zeros(bits[0].shape, dtype=np.int32) for _ in range(3))
+    for y, z in topology.sibling_pairs(tree):
+        a_neq += bits[y] ^ bits[z]
+    for x, y in topology.edge_pairs(tree):
+        b_neq += bits[x] ^ bits[y]
     for b in bits:
         ones += b
 
-    a = len(sibling_pairs(tree)) - 2 * a_neq.astype(np.int64)
-    b = len(edge_pairs(tree)) - 2 * b_neq.astype(np.int64)
+    a = len(topology.sibling_pairs(tree)) - 2 * a_neq.astype(np.int64)
+    b = len(topology.edge_pairs(tree)) - 2 * b_neq.astype(np.int64)
     c = 2 * ones.astype(np.int64) - tree.n_vertices
     return a, b, c
 

@@ -337,6 +337,20 @@ ENUMERATED_TREES = TABLE_TREES[:-1]
 SMALL_TREES = [(d, "full") for d in range(3)] + [(d, "half") for d in range(4)]
 
 
+def table_bins(table):
+    return dict(zip(zip(table.a.tolist(), table.b.tolist(), table.c.tolist()),
+                    table.count.tolist()))
+
+
+def flat_histogram(tree):
+    """(A, B, C_boundary) bin counts of every configuration id, one by one."""
+    cfgs = np.arange(1 << tree.n_vertices)
+    a, b, _ = sufficient_stats_batch(tree, cfgs)
+    bits = spin_bits(tree, cfgs)
+    c = sum(2 * bits[x].astype(np.int64) - 1 for x in tree.boundary)
+    return dict(Counter(zip(a.tolist(), b.tolist(), c.tolist())))
+
+
 class TestCountTable:
     @pytest.mark.parametrize("depth,mode", TABLE_TREES)
     def test_exact_counts(self, depth, mode):
@@ -344,8 +358,7 @@ class TestCountTable:
         table = count_table(tree)
         assert table.count.dtype == np.int64
         assert int(table.count.sum()) == 2**tree.n_vertices
-        bins = dict(zip(zip(table.a.tolist(), table.b.tolist(), table.c.tolist()),
-                        table.count.tolist()))
+        bins = table_bins(table)
         assert len(bins) == table.count.size
         for (a, b, c), n in bins.items():
             assert bins.get((a, b, -c)) == n  # spin-flip symmetry
@@ -374,15 +387,25 @@ class TestCountTable:
     @pytest.mark.parametrize("depth,mode", SMALL_TREES)
     def test_matches_per_configuration_histogram(self, depth, mode):
         tree = build_tree(depth, mode)
-        cfgs = np.arange(1 << tree.n_vertices)
-        a, b, _ = sufficient_stats_batch(tree, cfgs)
-        bits = spin_bits(tree, cfgs)
-        c = sum(2 * bits[x].astype(np.int64) - 1 for x in tree.boundary)
-        expected = Counter(zip(a.tolist(), b.tolist(), c.tolist()))
-        table = count_table(tree)
-        got = dict(zip(zip(table.a.tolist(), table.b.tolist(), table.c.tolist()),
-                       table.count.tolist()))
-        assert got == dict(expected)
+        assert table_bins(count_table(tree)) == flat_histogram(tree)
+
+    # Small blocks put the low/high spin split inside the tree, so that pairs
+    # of two low, a low and a high, and two high spins all occur.
+    @pytest.mark.parametrize("block", [64, 1024])
+    @pytest.mark.parametrize("depth,mode", [(1, "full"), (2, "full"),
+                                            (1, "half"), (2, "half"), (3, "half")])
+    def test_enumeration_in_small_blocks(self, monkeypatch, depth, mode, block):
+        tree = build_tree(depth, mode)
+        monkeypatch.setattr(exact_oracle, "_BLOCK", block)
+        exact_oracle._enumerate_count_table.cache_clear()
+        try:
+            enumerated = enumerated_count_table(tree)
+        finally:
+            exact_oracle._enumerate_count_table.cache_clear()
+        dp = count_table(tree)
+        for field in ("a", "b", "c", "count"):
+            assert np.array_equal(getattr(enumerated, field), getattr(dp, field)), field
+        assert table_bins(enumerated) == flat_histogram(tree)
 
     def test_read_only(self):
         table = count_table(build_tree(1, "full"))

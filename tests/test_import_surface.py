@@ -14,8 +14,8 @@ import cbtree
 from test_lazy_numpy import run_python
 
 CLI_ONLY = ["cbtree", "cbtree._lazy", "cbtree.cli"]
-RECURSION = [*CLI_ONLY, "cbtree.field_recursion", "cbtree.model", "cbtree.topology"]
-EXACT = [*RECURSION, "cbtree.exact_oracle", "cbtree.parallel"]
+RECURSION = [*CLI_ONLY, "cbtree.field_recursion", "cbtree.model"]
+EXACT = [*RECURSION, "cbtree.exact_oracle", "cbtree.parallel", "cbtree.topology"]
 
 # Runs argv through cli.main and records the cbtree modules, and whether
 # dataclasses, were loaded at import and after the command.

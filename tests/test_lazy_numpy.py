@@ -82,20 +82,25 @@ out["touched"] = rebound()
     assert out["touched"] == LAZY_MODULES
 
 
-# Small blocks so that a depth-2 pass fans out; the first numpy calls of
-# exact_oracle and model then happen in the worker threads.
-_TABLE = """
-import dataclasses, json, sys
+# Small blocks so that the per-configuration log-sum-exp of a non-constant
+# depth-2 field fans out; the first numpy calls of exact_oracle, model and
+# field_recursion then happen in the worker threads.
+_FAN_OUT = """
+import json, sys
 from cbtree import exact_oracle
+from cbtree.model import ModelParams
 from cbtree.topology import build_tree
 exact_oracle._BLOCK = 64
 assert "numpy" not in sys.modules
-table = exact_oracle.enumerated_count_table(build_tree(2, "full"))
-out = {f.name: getattr(table, f.name).tolist() for f in dataclasses.fields(table)}
+h = [0.3, -0.2, 0.5, 0.1, -0.4, 0.25]
+ln_z = exact_oracle._log_partition_enumerated(build_tree(2, "full"),
+                                              ModelParams(J=0.6, J1=1.0, beta=2.0), h)
+out = {"ln_z": ln_z, "fanned_out": "concurrent.futures" in sys.modules}
 """
 
 
 def test_first_numpy_use_in_worker_threads():
-    two = run_python(_TABLE, threads="2")
-    assert two == run_python(_TABLE, threads="1")
-    assert sum(two["count"]) == 1 << 10
+    two = run_python(_FAN_OUT, threads="2")
+    one = run_python(_FAN_OUT, threads="1")
+    assert two["ln_z"] == one["ln_z"]
+    assert (two["fanned_out"], one["fanned_out"]) == (True, False)

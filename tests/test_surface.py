@@ -30,6 +30,13 @@ NAMED_ORACLES = {
     "model.SpinConfig.from_spins": "the reference for sufficient_stats_batch",
     "model.SpinConfig.spin": "the reference for sufficient_stats_batch",
     "model.SpinConfig.spins": "the reference for sufficient_stats_batch",
+    # The one caller of these two is exact_oracle._log_partition_enumerated,
+    # reached only through the named oracles log_partition (non-constant
+    # field), measure_prob and marginal_prob.
+    "parallel.parallel_map": "the fan-out of the named enumeration oracles; "
+                             "imported by bench/probes.py; deleted with ROADMAP item 2",
+    "parallel.thread_count": "the fan-out of the named enumeration oracles; "
+                             "imported by bench/probes.py; deleted with ROADMAP item 2",
     "topology.boundary_sets": "the reference for boundary_census",
     "topology.connected_subsets": "bench/probes.py",
 }

@@ -5,11 +5,13 @@
 Each case runs in a new interpreter with ``PYTHONPATH`` set to one tree and
 ``CBTREE_THREADS`` pinned to ``THREADS``; its time is the wall time from the
 spawn to the exit of that interpreter, as a user of the ``cbtree`` entry
-point pays it.  Each pair runs every case once per tree, the tree order
-flipping from pair to pair.  The JSON on stdout holds, per case, the median
-and quartiles of each tree in ms, the median over pairs of the ratio
-new/old, how many pairs the new tree was faster in, and whether both trees
-gave the same exit code and stdout in every run.
+point pays it, and its memory is the interpreter's peak resident set
+(``ru_maxrss`` from ``os.wait4``, in kB on Linux).  Each pair runs every
+case once per tree, the tree order flipping from pair to pair.  The JSON on
+stdout holds, per case, the median and quartiles of each tree in ms and in
+MB of peak RSS, the median over pairs of the ratio new/old of each, how
+many pairs the new tree was faster in, and whether both trees gave the same
+exit code and stdout in every run.
 
 Bytecode caches change these times a lot: record whether each tree holds
 ``__pycache__`` and whether ``PYTHONDONTWRITEBYTECODE`` is set (both are in
@@ -50,12 +52,19 @@ CASES = {
 }
 
 
-def run_once(src: str, args: list[str]) -> tuple[float, int, bytes]:
+def run_once(src: str, args: list[str]) -> tuple[float, float, int, bytes]:
+    """Wall seconds, peak RSS in MB, exit code and stdout of one fresh run."""
     argv = args if args[0] == "-c" else ["-c", _ENTRY, *args]
     env = dict(os.environ, PYTHONPATH=src, CBTREE_THREADS=str(THREADS))
     t0 = time.perf_counter()
-    done = subprocess.run([sys.executable, *argv], env=env, capture_output=True, timeout=300)
-    return time.perf_counter() - t0, done.returncode, done.stdout
+    child = subprocess.Popen([sys.executable, *argv], env=env, stdout=subprocess.PIPE,
+                             stderr=subprocess.DEVNULL)
+    with child.stdout:
+        out = child.stdout.read()
+    _, status, usage = os.wait4(child.pid, 0)
+    wall = time.perf_counter() - t0
+    child.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+    return wall, usage.ru_maxrss / 1024, child.returncode, out
 
 
 def quartiles(xs: list[float]) -> list[float]:
@@ -78,6 +87,7 @@ def main() -> int:
     trees_abs = {name: os.path.abspath(src) for name, src in trees.items()}
 
     times = {case: {"old": [], "new": []} for case in CASES}
+    rss = {case: {"old": [], "new": []} for case in CASES}
     same = {case: True for case in CASES}
     exits = {}
     for k in range(args.pairs):
@@ -85,8 +95,9 @@ def main() -> int:
         for case, case_args in CASES.items():
             seen = {}
             for name in order:
-                wall, code, out = run_once(trees_abs[name], case_args)
+                wall, peak_mb, code, out = run_once(trees_abs[name], case_args)
                 times[case][name].append(wall * 1e3)
+                rss[case][name].append(peak_mb)
                 seen[name] = (code, out)
             same[case] &= seen["old"] == seen["new"]
             exits[case] = seen["new"][0]
@@ -94,6 +105,7 @@ def main() -> int:
     cases = {}
     for case, t in times.items():
         ratios = [n / o for o, n in zip(t["old"], t["new"])]
+        m = rss[case]
         cases[case] = {
             "argv": CASES[case],
             "exit": exits[case],
@@ -102,6 +114,10 @@ def main() -> int:
             "new_ms_q1_median_q3": quartiles(t["new"]),
             "ratio_median": round(statistics.median(ratios), 3),
             "new_faster_pairs": sum(r < 1.0 for r in ratios),
+            "old_peak_rss_mb_q1_median_q3": quartiles(m["old"]),
+            "new_peak_rss_mb_q1_median_q3": quartiles(m["new"]),
+            "rss_ratio_median": round(statistics.median(
+                n / o for o, n in zip(m["old"], m["new"])), 3),
         }
     print(json.dumps({
         "trees": trees,
