@@ -1,9 +1,10 @@
 """Ground truth by complete configuration enumeration.
 
-Everything here but ``count_table`` scales as 2**(vertex count) and is
-meant for small depths: full trees to depth 3 (22 spins, ~4.2M
-configurations), half trees to depth 4.  The recursion modules cover
-anything larger and are validated against this one.
+Everything here but ``count_table`` scales as 2**(vertex count): each
+per-configuration pass refuses a depth above 3 in both tree modes (22
+spins, ~4.2M configurations, on the full tree; 15 on the half tree), and
+the ``count_table`` DP goes on to half trees of depth 4.  The recursion
+modules cover anything larger and are validated against this one.
 
 The finite-volume Gibbs weight of a configuration s is
 
@@ -13,12 +14,8 @@ with the boundary field h living on the outermost level only.  A field
 argument h is a scalar, a sequence over the boundary in id order or a
 ``FieldAssignment`` on the same tree (its outermost level).  All
 probability work happens in log space; log weights are combined by a block
-log-sum-exp with fixed block boundaries.  The one pass in the package spread
-over ``CBTREE_THREADS`` workers is ``_log_partition_enumerated``, the
-per-configuration log-sum-exp behind ``log_partition`` with a non-constant
-field, ``measure_prob`` and ``marginal_prob`` (``parallel_map``, one block
-per item); it reduces in block order, so results are independent of the
-worker-thread count.  Everything else runs on the calling thread.
+log-sum-exp with fixed block boundaries, reduced in block order on the
+calling thread.
 
 For a constant boundary field h the log weight is
 beta*J*A + beta*J1*B + h*C_boundary, whose integer statistics do not depend
@@ -50,23 +47,19 @@ from . import model
 from ._lazy import LazyModule
 from .field_recursion import FieldAssignment, _boundary_array, _lse
 from .model import ModelParams, SpinConfig
-from .parallel import parallel_map
 from .topology import TreeIndex, build_tree, edge_pairs, sibling_pairs
 
 np = LazyModule(globals(), "np", "numpy")
 
-FULL_ENUM_DEPTH_CAP = 3
-HALF_ENUM_DEPTH_CAP = 4
+FULL_ENUM_DEPTH_CAP = 3  # every per-configuration pass, in both tree modes
+HALF_TABLE_DEPTH_CAP = 4  # the count_table DP on half trees
 
-_BLOCK = 1 << 16  # fixed chunking; never tied to the thread count
+_BLOCK = 1 << 16
 
 
-def _check_enum_cap(tree: TreeIndex) -> None:
-    cap = FULL_ENUM_DEPTH_CAP if tree.mode == "full" else HALF_ENUM_DEPTH_CAP
+def _check_enum_cap(tree: TreeIndex, cap: int = FULL_ENUM_DEPTH_CAP) -> None:
     if tree.depth > cap:
-        raise ValueError(
-            f"enumeration capped at depth {cap} for {tree.mode} trees, got {tree.depth}"
-        )
+        raise ValueError(f"enumeration capped at depth {cap} for {tree.mode} trees, got {tree.depth}")
 
 
 def log_weights(tree: TreeIndex, params: ModelParams, h, configs) -> np.ndarray:
@@ -255,7 +248,7 @@ def count_table(tree: TreeIndex) -> CountTable:
     lock makes concurrent first callers build it only once.
     ``enumerated_count_table`` is its oracle.
     """
-    _check_enum_cap(tree)
+    _check_enum_cap(tree, HALF_TABLE_DEPTH_CAP if tree.mode == "half" else FULL_ENUM_DEPTH_CAP)
     with _TABLE_LOCK:
         return _build_count_table(tree)
 
@@ -264,10 +257,8 @@ def enumerated_count_table(tree: TreeIndex) -> CountTable:
     """``count_table`` built by binning every configuration instead.
 
     One pass over all 2**n configurations in blocks of ``_BLOCK`` ids, each
-    binned from its own spins into one running total on the calling thread
-    (``CBTREE_THREADS`` reaches only ``_log_partition_enumerated``), and
-    cached per tree under the same lock; equal to ``count_table`` array for
-    array.
+    binned from its own spins into one running total, and cached per tree
+    under the same lock; equal to ``count_table`` array for array.
     """
     _check_enum_cap(tree)
     with _TABLE_LOCK:
@@ -276,14 +267,8 @@ def enumerated_count_table(tree: TreeIndex) -> CountTable:
 
 def _log_partition_enumerated(tree: TreeIndex, params: ModelParams, hb: np.ndarray) -> float:
     _check_enum_cap(tree)
-    total = 1 << tree.n_vertices
-
-    def one_block(rng):
-        lo, hi = rng
-        return _lse(log_weights(tree, params, hb, np.arange(lo, hi, dtype=np.int64)))
-
-    partials = parallel_map(one_block, _blocks(total))
-    return _lse(partials)
+    return _lse([_lse(log_weights(tree, params, hb, np.arange(lo, hi, dtype=np.int64)))
+                 for lo, hi in _blocks(1 << tree.n_vertices)])
 
 
 def log_partition(tree: TreeIndex, params: ModelParams, h) -> float:

@@ -131,19 +131,15 @@ def sufficient_stats(tree: TreeIndex, config: SpinConfig) -> tuple[int, int, int
     return a, b, c
 
 
-def spin_bits(tree: TreeIndex, configs) -> list[np.ndarray]:
-    """One int8 array per vertex over bit-packed configurations: 1 for spin +1."""
-    cfg = np.asarray(configs, dtype=np.int64)
-    return [((cfg >> v) & 1).astype(np.int8) for v in range(tree.n_vertices)]
-
-
 def sufficient_stats_batch(tree: TreeIndex, configs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized (A, B, C) over an int64 array of bit-packed configurations.
 
-    Counts unequal-spin pairs with int8 bit arithmetic, then converts; the
-    result is identical to per-config ``sufficient_stats``.
+    Counts unequal-spin pairs with int8 bit arithmetic (one array per
+    vertex, 1 for spin +1), then converts; the result is identical to
+    per-config ``sufficient_stats``.
     """
-    bits = spin_bits(tree, configs)
+    cfg = np.asarray(configs, dtype=np.int64)
+    bits = [((cfg >> v) & 1).astype(np.int8) for v in range(tree.n_vertices)]
     a_neq, b_neq, ones = (np.zeros(bits[0].shape, dtype=np.int32) for _ in range(3))
     for y, z in topology.sibling_pairs(tree):
         a_neq += bits[y] ^ bits[z]

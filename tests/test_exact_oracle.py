@@ -27,7 +27,6 @@ from cbtree.field_recursion import FieldAssignment, _lse, propagate_inward, ti_f
 from cbtree.model import (
     ModelParams,
     SpinConfig,
-    spin_bits,
     stat_maxima,
     sufficient_stats,
     sufficient_stats_batch,
@@ -332,7 +331,8 @@ class TestPlusMinusMasses:
 
 TABLE_TREES = [(d, "full") for d in range(4)] + [(d, "half") for d in range(5)]
 # Half depth 4 (2**31 configurations) has no enumerated table: one
-# enumeration pass takes minutes.
+# enumeration pass would take minutes, so every per-configuration route
+# refuses it (test_half_depth4_refused_by_every_per_configuration_route).
 ENUMERATED_TREES = TABLE_TREES[:-1]
 SMALL_TREES = [(d, "full") for d in range(3)] + [(d, "half") for d in range(4)]
 
@@ -346,8 +346,7 @@ def flat_histogram(tree):
     """(A, B, C_boundary) bin counts of every configuration id, one by one."""
     cfgs = np.arange(1 << tree.n_vertices)
     a, b, _ = sufficient_stats_batch(tree, cfgs)
-    bits = spin_bits(tree, cfgs)
-    c = sum(2 * bits[x].astype(np.int64) - 1 for x in tree.boundary)
+    c = sum(2 * ((cfgs >> x) & 1) - 1 for x in tree.boundary)
     return dict(Counter(zip(a.tolist(), b.tolist(), c.tolist())))
 
 
@@ -383,6 +382,24 @@ class TestCountTable:
         t0 = time.perf_counter()
         count_table(tree)
         assert time.perf_counter() - t0 < 1.0
+
+    def test_half_depth4_refused_by_every_per_configuration_route(self):
+        tree = build_tree(4, "half")
+        hb = np.linspace(-0.3, 0.3, tree.level_size(4))
+        calls = [
+            lambda: enumerated_count_table(tree),
+            lambda: log_partition(tree, TWO_FIVE, hb),
+            lambda: measure_prob(tree, TWO_FIVE, hb, SpinConfig.all_plus(tree)),
+            lambda: marginal_prob(tree, TWO_FIVE, hb, SpinConfig.all_plus(build_tree(3, "half"))),
+            lambda: check_consistency(TWO_FIVE, propagate_inward(tree, TWO_FIVE, hb)),
+            lambda: first_config(tree, lambda a, b, c: a == a),
+        ]
+        for call in calls:
+            t0 = time.perf_counter()
+            with pytest.raises(ValueError, match="capped at depth 3 for half trees, got 4"):
+                call()
+            assert time.perf_counter() - t0 < 1.0
+        assert math.isfinite(log_partition(tree, TWO_FIVE, 0.1))  # the DP table still serves
 
     @pytest.mark.parametrize("depth,mode", SMALL_TREES)
     def test_matches_per_configuration_histogram(self, depth, mode):

@@ -15,7 +15,7 @@ from test_lazy_numpy import run_python
 
 CLI_ONLY = ["cbtree", "cbtree._lazy", "cbtree.cli"]
 RECURSION = [*CLI_ONLY, "cbtree.field_recursion", "cbtree.model"]
-EXACT = [*RECURSION, "cbtree.exact_oracle", "cbtree.parallel", "cbtree.topology"]
+EXACT = [*RECURSION, "cbtree.exact_oracle", "cbtree.topology"]
 
 # Runs argv through cli.main and records the cbtree modules, and whether
 # dataclasses, were loaded at import and after the command.

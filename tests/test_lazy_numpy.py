@@ -82,25 +82,39 @@ out["touched"] = rebound()
     assert out["touched"] == LAZY_MODULES
 
 
-# Small blocks so that the per-configuration log-sum-exp of a non-constant
-# depth-2 field fans out; the first numpy calls of exact_oracle, model and
-# field_recursion then happen in the worker threads.
-_FAN_OUT = """
-import json, sys
-from cbtree import exact_oracle
+# Threads started here make the first numpy calls of exact_oracle, model and
+# field_recursion at once, through the per-configuration log-sum-exp of a
+# non-constant depth-2 field; small blocks give it several blocks to reduce.
+_THREADED_FIRST_USE = """
+import json, sys, threading
+from cbtree import exact_oracle, field_recursion, model
 from cbtree.model import ModelParams
 from cbtree.topology import build_tree
 exact_oracle._BLOCK = 64
 assert "numpy" not in sys.modules
 h = [0.3, -0.2, 0.5, 0.1, -0.4, 0.25]
-ln_z = exact_oracle._log_partition_enumerated(build_tree(2, "full"),
-                                              ModelParams(J=0.6, J1=1.0, beta=2.0), h)
-out = {"ln_z": ln_z, "fanned_out": "concurrent.futures" in sys.modules}
+params = ModelParams(J=0.6, J1=1.0, beta=2.0)
+start = threading.Barrier(4)
+ln_z = [None] * 4
+
+def first_use(k):
+    start.wait()
+    ln_z[k] = exact_oracle._log_partition_enumerated(build_tree(2, "full"), params, h)
+
+threads = [threading.Thread(target=first_use, args=(k,)) for k in range(4)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(timeout=60)
+ln_z.append(exact_oracle._log_partition_enumerated(build_tree(2, "full"), params, h))
+numpy = sys.modules["numpy"]
+out = {"ln_z": ln_z, "executor": "concurrent.futures" in sys.modules,
+       "rebound": [m.np is numpy for m in (exact_oracle, field_recursion, model)]}
 """
 
 
 def test_first_numpy_use_in_worker_threads():
-    two = run_python(_FAN_OUT, threads="2")
-    one = run_python(_FAN_OUT, threads="1")
-    assert two["ln_z"] == one["ln_z"]
-    assert (two["fanned_out"], one["fanned_out"]) == (True, False)
+    out = run_python(_THREADED_FIRST_USE, threads="2")
+    assert None not in out["ln_z"] and len(set(out["ln_z"])) == 1
+    assert out["rebound"] == [True, True, True]
+    assert out["executor"] is False

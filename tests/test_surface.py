@@ -30,13 +30,10 @@ NAMED_ORACLES = {
     "model.SpinConfig.from_spins": "the reference for sufficient_stats_batch",
     "model.SpinConfig.spin": "the reference for sufficient_stats_batch",
     "model.SpinConfig.spins": "the reference for sufficient_stats_batch",
-    # The one caller of these two is exact_oracle._log_partition_enumerated,
-    # reached only through the named oracles log_partition (non-constant
-    # field), measure_prob and marginal_prob.
-    "parallel.parallel_map": "the fan-out of the named enumeration oracles; "
-                             "imported by bench/probes.py; deleted with ROADMAP item 2",
-    "parallel.thread_count": "the fan-out of the named enumeration oracles; "
-                             "imported by bench/probes.py; deleted with ROADMAP item 2",
+    # No cbtree module imports parallel; it goes once bench/ stops
+    # importing it (ROADMAP item 2).
+    "parallel.parallel_map": "imported by bench/probes.py only",
+    "parallel.thread_count": "imported by bench/probes.py only",
     "topology.boundary_sets": "the reference for boundary_census",
     "topology.connected_subsets": "bench/probes.py",
 }
@@ -86,8 +83,7 @@ print(json.dumps(sorted(unreached)))
 
 
 def test_unreached_surface_is_the_named_oracles():
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(TESTS)]),
-               CBTREE_THREADS="1", COLUMNS="80")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(TESTS)]), COLUMNS="80")
     done = subprocess.run([sys.executable, "-c", _SCAN], env=env, capture_output=True,
                           text=True, timeout=300)
     assert done.returncode == 0, done.stderr

@@ -2,12 +2,12 @@
 
     python3 tools/fresh_cli.py OLD_SRC NEW_SRC --pairs 10
 
-Each case runs in a new interpreter with ``PYTHONPATH`` set to one tree and
-``CBTREE_THREADS`` pinned to ``THREADS``; its time is the wall time from the
-spawn to the exit of that interpreter, as a user of the ``cbtree`` entry
-point pays it, and its memory is the interpreter's peak resident set
-(``ru_maxrss`` from ``os.wait4``, in kB on Linux).  Each pair runs every
-case once per tree, the tree order flipping from pair to pair.  The JSON on
+Each case runs in a new interpreter with ``PYTHONPATH`` set to one tree;
+its time is the wall time from the spawn to the exit of that interpreter,
+as a user of the ``cbtree`` entry point pays it, and its memory is the
+interpreter's peak resident set (``ru_maxrss`` from ``os.wait4``, in kB on
+Linux).  Each pair runs every case once per tree, the tree order flipping
+from pair to pair.  The JSON on
 stdout holds, per case, the median and quartiles of each tree in ms and in
 MB of peak RSS, the median over pairs of the ratio new/old of each, how
 many pairs the new tree was faster in, and whether both trees gave the same
@@ -28,8 +28,6 @@ import statistics
 import subprocess
 import sys
 import time
-
-THREADS = 2
 
 # What the ``cbtree`` console script runs.
 _ENTRY = "import sys; from cbtree.cli import main; sys.exit(main())"
@@ -55,7 +53,7 @@ CASES = {
 def run_once(src: str, args: list[str]) -> tuple[float, float, int, bytes]:
     """Wall seconds, peak RSS in MB, exit code and stdout of one fresh run."""
     argv = args if args[0] == "-c" else ["-c", _ENTRY, *args]
-    env = dict(os.environ, PYTHONPATH=src, CBTREE_THREADS=str(THREADS))
+    env = dict(os.environ, PYTHONPATH=src)
     t0 = time.perf_counter()
     child = subprocess.Popen([sys.executable, *argv], env=env, stdout=subprocess.PIPE,
                              stderr=subprocess.DEVNULL)
@@ -123,7 +121,6 @@ def main() -> int:
         "trees": trees,
         "pairs": args.pairs,
         "python": platform.python_version(),
-        "CBTREE_THREADS": THREADS,
         "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
         "bytecode_at_start": bytecode,
         "cases": cases,
